@@ -70,7 +70,10 @@ def _check_binary_endpoint(values: np.ndarray, name: str):
 def _lrt(endpoint, base_columns, added_column, alpha) -> CiTestResult:
     n = endpoint.size
     null_fit = fit_glm(endpoint, design_matrix(n, *base_columns))
-    full_fit = fit_glm(endpoint, design_matrix(n, *base_columns, added_column))
+    # start the full fit at the null optimum with the added coefficient at 0;
+    # under the null hypothesis that is a few steps from the full optimum
+    full_fit = fit_glm(endpoint, design_matrix(n, *base_columns, added_column),
+                       start=np.append(null_fit.coefficients, 0.0))
     return likelihood_ratio_test(null_fit, full_fit, alpha)
 
 
@@ -83,13 +86,18 @@ def test_c1(ds: Dataset, alpha: float) -> ConditionRecord:
     return ConditionRecord(C1, None, (), result)
 
 
-def test_c2(ds: Dataset, Z, alpha: float) -> ConditionRecord:
+def test_c2(ds: Dataset, Z, alpha: float,
+            observed: Dataset | None = None) -> ConditionRecord:
     """Treatment must be independent of the incentive given the outcome and
-    Z among respondents."""
+    Z among respondents.
+
+    ``observed`` is ``subset_observed(ds)``, for a caller that runs many C2
+    tests on one dataset and slices its respondents once.
+    """
     roles = ds.roles
     Z = tuple(Z)
     _check_adjustment(roles, None, Z)
-    obs = subset_observed(ds)
+    obs = subset_observed(ds) if observed is None else observed
     if obs.n_rows == 0:
         raise DegenerateDataError("no rows with response == 1")
     treatment = obs.column(roles.treatment)

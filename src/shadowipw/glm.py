@@ -1,9 +1,14 @@
 """Generalized linear models (logistic, gaussian) and likelihood-ratio tests.
 
 This is the statistical engine behind the conditional-independence tests.
-Logistic fits use iteratively reweighted least squares with step-halving;
-gaussian fits are exact least squares with the log-likelihood evaluated at
-the maximum-likelihood variance.
+Logistic fits use iteratively reweighted least squares with step-halving.
+As in R's ``glm.fit``, each iteration evaluates the log-likelihood once, at
+the candidate step, and carries it forward; a step is kept when it lowers
+the log-likelihood by no more than a bound scaled to |ll|, the rounding
+error of a sum over many rows. A fit may be warm-started, as the full fit
+of a likelihood-ratio test is from its null fit. Gaussian fits are exact
+least squares with the log-likelihood evaluated at the maximum-likelihood
+variance.
 """
 
 from __future__ import annotations
@@ -66,13 +71,23 @@ def chi_square_sf(x: float, df: int) -> float:
 
 
 def _logistic_ll(y: np.ndarray, eta: np.ndarray) -> float:
-    # sum y*eta - log(1 + exp(eta)), stable at both tails
-    return float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    # sum y*eta - log(1 + exp(eta)); the softplus is written in a form that
+    # is stable at both tails
+    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+    return float(y @ eta - np.sum(softplus))
 
 
-def _fit_logistic(y, X, max_iter, tol):
-    n, p = X.shape
-    beta = np.zeros(p)
+def _linear_predictor(beta, Xt):
+    return np.clip(beta @ Xt, -500.0, 500.0)
+
+
+def _fit_logistic(y, Xt, max_iter, tol, start):
+    # Xt is the design transposed (p x n, C-contiguous): one row per
+    # coefficient, so every product below runs over contiguous rows
+    p = Xt.shape[0]
+    beta = np.zeros(p) if start is None else start
+    eta = _linear_predictor(beta, Xt)
+    ll = _logistic_ll(y, eta)
     rank_deficient = False
     # a constant response has its maximum at infinite coefficients; the
     # iterations below stop at a finite capped iterate, so flag it up front
@@ -80,41 +95,57 @@ def _fit_logistic(y, X, max_iter, tol):
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eta = np.clip(X @ beta, -500.0, 500.0)
-        mu = expit(eta)
-        score = X.T @ (y - mu)
-        if np.max(np.abs(score)) < tol:
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        score = Xt @ (y - mu)
+        # the first pass always builds a Newton system, where a singular
+        # design shows, even when a warm start begins at the optimum
+        if iterations > 1 and np.max(np.abs(score)) < tol:
             converged = True
             iterations -= 1
             break
         w = np.clip(mu * (1.0 - mu), 1e-10, None)
         z = eta + (y - mu) / w
-        Xw = X * w[:, None]
-        try:
-            solution = np.linalg.solve(X.T @ Xw, Xw.T @ z)
-        except np.linalg.LinAlgError:
-            # singular gram matrix: fall back to the minimum-norm solution
-            rank_deficient = True
+        Xw = Xt * w
+        gram = Xw @ Xt.T
+        if iterations == 1:
+            # the design is rank deficient when the gram's smallest
+            # eigenvalue is within the rounding error of its sums over rows
+            eig = np.linalg.eigvalsh(gram)
+            rounding = eig[-1] * y.size * np.finfo(float).eps
+            rank_deficient = bool(eig[0] <= rounding)
+        if not rank_deficient:
+            try:
+                solution = np.linalg.solve(gram, Xw @ z)
+            except np.linalg.LinAlgError:
+                rank_deficient = True
+        if rank_deficient:
+            # singular gram matrix: use the minimum-norm solution
             sw = np.sqrt(w)
-            solution, _, rank, _ = np.linalg.lstsq(X * sw[:, None], z * sw,
-                                                   rcond=None)
-        # step-halving: never accept a step that decreases the likelihood
-        ll_cur = _logistic_ll(y, eta)
+            solution = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0]
+        # step-halving: never accept a step that decreases the likelihood by
+        # more than the rounding error of its sum over rows, which grows
+        # with |ll|
+        floor = ll - 1e-12 * max(1.0, abs(ll))
         step = solution - beta
         for _ in range(20):
             cand = beta + step
-            if _logistic_ll(y, np.clip(X @ cand, -500.0, 500.0)) >= ll_cur - 1e-12:
+            eta_cand = _linear_predictor(cand, Xt)
+            ll_cand = _logistic_ll(y, eta_cand)
+            if ll_cand >= floor:
                 break
             step = step / 2.0
-        beta = beta + step
+        else:
+            # no checked step keeps the likelihood, so none is applied
+            iterations -= 1
+            break
+        beta, eta, ll = cand, eta_cand, ll_cand
         if np.linalg.norm(beta) > SEPARATION_NORM:
             separated = True
             break
-    ll = _logistic_ll(y, np.clip(X @ beta, -500.0, 500.0))
     if separated:
         converged = False
-    return beta, ll, bool(converged), iterations, bool(separated), \
-        bool(rank_deficient)
+    return GlmFit(LOGISTIC, beta, ll, bool(converged), iterations, y.size,
+                  bool(separated), rank_deficient)
 
 
 def _fit_gaussian(y, X):
@@ -127,14 +158,26 @@ def _fit_gaussian(y, X):
 
 
 def fit_glm(y, X, family: str = LOGISTIC, max_iter: int = 50,
-            tol: float = 1e-8) -> GlmFit:
+            tol: float = 1e-8, start=None) -> GlmFit:
     """Fit y on the design matrix X (intercept column included by caller).
 
-    Logistic fits run IRLS until the score max-norm drops below ``tol``;
-    coefficient L2 norm above 30 is flagged as separation and stops the fit
-    with ``converged=False`` (the capped likelihood is still reported so
-    downstream tests keep running). Rank-deficient designs use the
-    minimum-norm solution and are flagged.
+    Logistic fits run IRLS until the score max-norm drops below ``tol``.
+    Each iteration evaluates the log-likelihood once, at the candidate
+    step, and carries it forward. A step is halved (up to 20 times) while
+    it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
+    a bound scaled to the rounding error of a sum over many rows; if no
+    halving passes, the fit stops where it is. Coefficient L2 norm above
+    30 is flagged as separation and stops the fit with ``converged=False``
+    (the capped likelihood is still reported so downstream tests keep
+    running). A design is flagged rank deficient when the smallest
+    eigenvalue of its weighted gram matrix is within ``n * eps`` of the
+    largest, or the gram cannot be solved; such fits use the minimum-norm
+    solution.
+
+    ``start`` gives initial logistic coefficients (default zeros), such as
+    a nested fit's coefficients with zeros appended. It only saves
+    iterations: a warm-started fit that does not converge is repeated from
+    zeros, so its flags and capped likelihood never depend on ``start``.
     """
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -145,13 +188,20 @@ def fit_glm(y, X, family: str = LOGISTIC, max_iter: int = 50,
     n, p = X.shape
     if n <= p:
         raise GlmError(f"need more observations ({n}) than coefficients ({p})")
+    if start is not None:
+        start = np.array(start, dtype=float)
+        if start.shape != (p,) or not np.isfinite(start).all():
+            raise GlmError(f"start must hold {p} finite coefficients, "
+                           f"got shape {start.shape}")
     if family == LOGISTIC:
         if not np.isin(y, (0.0, 1.0)).all():
             raise GlmError("logistic family requires a 0/1 response")
-        beta, ll, converged, iterations, separated, rank_def = _fit_logistic(
-            y, X, max_iter, tol)
-        return GlmFit(LOGISTIC, beta, ll, converged, iterations, n,
-                      separated, rank_def)
+        # free when X is column-major, as design_matrix builds it
+        Xt = np.ascontiguousarray(X.T)
+        fit = _fit_logistic(y, Xt, max_iter, tol, start)
+        if start is not None and not fit.converged:
+            fit = _fit_logistic(y, Xt, max_iter, tol, None)
+        return fit
     if family == GAUSSIAN:
         beta, ll, rank_def = _fit_gaussian(y, X)
         return GlmFit(GAUSSIAN, beta, ll, True, 0, n, False, rank_def)
@@ -189,4 +239,5 @@ def likelihood_ratio_test(null_fit: GlmFit, full_fit: GlmFit,
 
 def design_matrix(n: int, *columns) -> np.ndarray:
     """Stack an intercept column ahead of the given regressor columns."""
-    return np.column_stack([np.ones(n), *columns]) if columns else np.ones((n, 1))
+    # column-major, so that fit_glm's transposed view of it needs no copy
+    return np.vstack([np.ones(n), *columns]).T

@@ -51,11 +51,13 @@ class LrtTester:
 
     C2 does not involve the witness, so its result is memoized per
     adjustment set; the search revisits the same Z under different
-    witnesses on exhaustive runs.
+    witnesses on exhaustive runs. C2's respondent rows are sliced once, at
+    the first C2 test.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
+        self._observed: Dataset | None = None
         self._c2_memo: dict[tuple, ConditionRecord] = {}
 
     def c1(self, alpha):
@@ -64,7 +66,10 @@ class LrtTester:
     def c2(self, Z, alpha):
         key = (tuple(Z), alpha)
         if key not in self._c2_memo:
-            self._c2_memo[key] = citest.test_c2(self.ds, Z, alpha)
+            if self._observed is None:
+                self._observed = citest.subset_observed(self.ds)
+            self._c2_memo[key] = citest.test_c2(self.ds, Z, alpha,
+                                                self._observed)
         return self._c2_memo[key]
 
     def c3(self, W, Z, alpha):

@@ -5,6 +5,13 @@ from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
 from shadowipw.simulate import default_config, generate
 
 
+def pytest_collection_modifyitems(items):
+    # the acceptance module takes minutes; `pytest -m "not slow"` skips it
+    for item in items:
+        if item.path.name == "test_acceptance.py":
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def base_ds_10k():
     """One draw of the main simulation scenario at n=10000."""

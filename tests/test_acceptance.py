@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete. The Monte Carlo criteria (3-6) share module fixtures; the whole
-module takes 4m55s wall time on two cores. The causes of the
+module takes 1m28s wall time on two cores. The causes of the
 criterion 3 and 5 failures, and the derivation of criterion 4's direction,
 are in docs/acceptance_analysis.md.
 """

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from shadowipw import glm
 from shadowipw.glm import (GAUSSIAN, GlmError, chi_square_sf, design_matrix,
                            fit_glm, likelihood_ratio_test)
+from shadowipw.simulate import default_config, generate
 
 
 class TestChiSquareSf:
@@ -129,6 +132,80 @@ class TestLogisticFit:
     def test_needs_more_rows_than_coefficients(self):
         with pytest.raises(GlmError):
             fit_glm(np.array([0.0, 1.0]), design_matrix(2, [1.0, 2.0]))
+
+    def test_rejects_malformed_start(self):
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        X = design_matrix(4, [0.5, 1.0, -1.0, 2.0])
+        for start in ([0.0], [0.0, 0.0, 0.0], [0.0, np.nan]):
+            with pytest.raises(GlmError, match="start"):
+                fit_glm(y, X, start=start)
+
+    def test_one_log_likelihood_per_iteration(self, monkeypatch):
+        # the accepted candidate's log-likelihood is carried forward: a fit
+        # whose full Newton steps are all kept evaluates it once at the
+        # start and once per iteration
+        calls = []
+        original = glm._logistic_ll
+
+        def counting(y, eta):
+            calls.append(1)
+            return original(y, eta)
+
+        monkeypatch.setattr(glm, "_logistic_ll", counting)
+        rng = np.random.default_rng(11)
+        n = 5000
+        X = design_matrix(n, rng.normal(size=n), rng.normal(size=n))
+        y = (rng.uniform(size=n) < expit(X @ np.array([0.3, 0.8, -0.6]))
+             ).astype(float)
+        fit = fit_glm(y, X)
+        assert fit.converged and fit.iterations >= 3
+        assert len(calls) == fit.iterations + 1
+
+    @pytest.mark.parametrize("seed, parent_ll", [(0, -38781.151851634815),
+                                                 (17, -38384.73995507248)])
+    def test_converges_at_hundred_thousand_rows(self, seed, parent_ll):
+        # near the optimum a real improvement is smaller than the rounding
+        # error of a 10^5-term sum; an absolute acceptance bound rejected
+        # it and ran all 50 iterations without converging. parent_ll is
+        # the log-likelihood that non-converged fit reported.
+        ds = generate(replace(default_config(), n=100_000, seed=seed,
+                              scenario="base"))
+        X = design_matrix(ds.n_rows,
+                          *(ds.column(c) for c in ("W2", "W3", "W4")))
+        fit = fit_glm(ds.column("A"), X)
+        assert fit.converged and not fit.separated
+        assert fit.iterations <= 10
+        assert fit.log_likelihood == pytest.approx(parent_ll, rel=1e-9)
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=40, max_value=400),
+           st.sampled_from(["regular", "separated", "constant",
+                            "rank_deficient"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_warm_start_matches_cold_start(self, p, n, design, seed):
+        # the warm start _lrt uses, the nested fit's coefficients with a
+        # zero appended, must not change what the fit reports
+        rng = np.random.default_rng(seed)
+        X = design_matrix(n, *rng.normal(size=(p - 1, n)))
+        if design == "rank_deficient" and p > 1:
+            X[:, -1] = X[:, rng.integers(p - 1)]
+        beta = rng.uniform(-1.0, 1.0, size=p)
+        y = (rng.uniform(size=n) < expit(X @ beta)).astype(float)
+        if design == "separated":
+            y = (X[:, -1] > 0).astype(float)
+        elif design == "constant":
+            y = np.full(n, float(rng.integers(2)))
+        if p > 1:
+            start = np.append(fit_glm(y, X[:, :-1]).coefficients, 0.0)
+        else:
+            start = rng.uniform(-2.0, 2.0, size=1)
+        cold = fit_glm(y, X)
+        warm = fit_glm(y, X, start=start)
+        assert warm.log_likelihood == pytest.approx(cold.log_likelihood,
+                                                    rel=1e-9)
+        assert (warm.converged, warm.separated, warm.rank_deficient) == \
+            (cold.converged, cold.separated, cold.rank_deficient)
 
 
 class TestLikelihoodRatioTest:

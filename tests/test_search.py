@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from shadowipw import citest
+from shadowipw.citest import C1, ConditionRecord
 from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from shadowipw.glm import CiTestResult
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
-                              SearchOutcome, enumerate_subsets,
+                              LrtTester, SearchOutcome, enumerate_subsets,
                               find_adjustment_set)
 from shadowipw.simulate import (default_config, example_graph,
                                 generate, generate_example, scenario_graph)
@@ -110,6 +112,65 @@ class TestLrtSearch:
                      RoleMap("A", "Y", "R", "I", ("W1",)))
         with pytest.raises(ValueError, match="two covariates"):
             find_adjustment_set(ds, ALPHA)
+
+
+# (scenario, seed) -> (status, witness, adjustment_set, tests_run) at
+# n=10000, as the engine gave them before the IRLS rewrite; no change to the
+# engine may flip one
+PINNED_VERDICTS = {
+    ("base", 0): (NOT_FOUND, None, None, 87),
+    ("base", 1): (FOUND, "W1", ("W2", "W3", "W4"), 25),
+    ("base", 4): (FOUND, "W1", ("W2", "W3", "W4"), 11),
+    ("base", 9): (NOT_FOUND, None, None, 97),
+    ("add_a_to_ry", 0): (FOUND, "W1", ("W2", "W3", "W4"), 25),
+    ("add_a_to_ry", 1): (NOT_FOUND, None, None, 33),
+    ("add_a_to_ry", 7): (NOT_FOUND, None, None, 41),
+    ("hide_w4", 0): (NOT_FOUND, None, None, 37),
+    ("hide_w4", 3): (NOT_FOUND, None, None, 23),
+    ("hide_w4", 4): (NOT_FOUND, None, None, 13),
+}
+
+
+class TestPinnedVerdicts:
+    @pytest.mark.parametrize("scenario, seed", sorted(PINNED_VERDICTS))
+    def test_verdict_is_pinned(self, scenario, seed):
+        ds = generate(default_config(n=10000, seed=seed, scenario=scenario))
+        outcome = find_adjustment_set(ds, ALPHA)
+        assert (outcome.status, outcome.witness, outcome.adjustment_set,
+                outcome.tests_run) == PINNED_VERDICTS[scenario, seed]
+
+    def test_no_respondents_fails_every_c2_and_slices_once(
+            self, base_ds_small, monkeypatch):
+        # with C1 passed by fiat, every candidate reaches C2, which must
+        # raise on the empty respondent subset each time it is asked
+        n = base_ds_small.n_rows
+        cols = {name: base_ds_small.column(name)
+                for name in base_ds_small.names}
+        cols["R"] = np.zeros(n)
+        cols["Y"] = np.full(n, np.nan)
+        ds = Dataset(cols, {name: base_ds_small.kind(name)
+                            for name in base_ds_small.names},
+                     base_ds_small.roles, base_ds_small.oracle_names)
+        slices = []
+        original = citest.subset_observed
+        monkeypatch.setattr(citest, "subset_observed",
+                            lambda d: slices.append(1) or original(d))
+
+        class GatePassed(LrtTester):
+            def c1(self, alpha):
+                return ConditionRecord(C1, None, (), CiTestResult(
+                    statistic=float("inf"), df=1, p_value=0.0,
+                    independent=False, alpha=alpha))
+
+        with pytest.warns(UserWarning, match="no rows"):
+            outcome = find_adjustment_set(ds, ALPHA, tester=GatePassed(ds))
+        k = len(ds.roles.covariates)
+        assert outcome.status == NOT_FOUND
+        assert outcome.tests_run == 1 + k * 2 ** (k - 1)
+        assert all(rec.condition == "C2" and rec.result is None
+                   and "response == 1" in rec.error
+                   for rec in outcome.trail[1:])
+        assert len(slices) == 1
 
 
 class TestGraphOracleSearch:
