@@ -13,23 +13,22 @@ __version__ = "0.1.0"
 
 from .data import Dataset, RoleMap, load_csv, subset_observed, write_csv
 from .estimate import (AceEstimate, baseline_ignore_missingness,
-                       baseline_wrong_adjustment, clip,
+                       baseline_wrong_adjustment, clip, fit_and_weight,
                        fit_treatment_propensity, ipw_ace)
 from .glm import (CiTestResult, GlmFit, chi_square_sf, fit_glm,
                   likelihood_ratio_test)
 from .search import (SearchOutcome, GraphOracleTester, LrtTester,
-                     enumerate_subsets, find_adjustment_set)
-from .shadow import (MomentVector, ShadowPropensityModel, moment_residuals,
-                     or_propensity, reconstruct_propensity_from_joint,
-                     solve_propensity)
+                     find_adjustment_set)
+from .shadow import (ShadowPropensityModel, moment_residuals, or_propensity,
+                     reconstruct_propensity_from_joint, solve_propensity)
 from .simulate import DgpConfig, default_config, generate, true_ace
 
 __all__ = [
     "AceEstimate", "CiTestResult", "Dataset", "DgpConfig", "GlmFit",
-    "GraphOracleTester", "LrtTester", "MomentVector", "RoleMap",
-    "SearchOutcome", "ShadowPropensityModel", "baseline_ignore_missingness",
+    "GraphOracleTester", "LrtTester", "RoleMap", "SearchOutcome",
+    "ShadowPropensityModel", "baseline_ignore_missingness",
     "baseline_wrong_adjustment", "chi_square_sf", "clip", "default_config",
-    "enumerate_subsets", "find_adjustment_set", "fit_glm",
+    "find_adjustment_set", "fit_and_weight", "fit_glm",
     "fit_treatment_propensity", "generate", "ipw_ace",
     "likelihood_ratio_test", "load_csv", "moment_residuals", "or_propensity",
     "reconstruct_propensity_from_joint", "solve_propensity",

@@ -1,8 +1,10 @@
-"""The four testable identification conditions, as likelihood-ratio tests.
+"""The four testable identification conditions, as one table.
 
-Each test regresses a binary endpoint on conditioning variables and asks,
-via a one-degree-of-freedom LRT, whether adding the tested variable improves
-fit:
+Each row of ``CONDITIONS`` names a binary endpoint role, the roles it is
+conditioned on ahead of the adjustment set Z, the variable whose
+association with the endpoint is tested (a role, or the witness W), whether
+only respondents (rows with response == 1) are used, and the verdict the
+condition requires:
 
   c1: response  ~ 1            vs  + incentive     (dependence must hold)
   c2: treatment ~ outcome, Z   vs  + incentive     (independence must hold,
@@ -10,8 +12,10 @@ fit:
   c3: response  ~ Z            vs  + witness       (dependence must hold)
   c4: response  ~ treatment, Z vs  + witness       (independence must hold)
 
-A condition "passes" when the observed verdict matches the required one at
-level alpha.
+``run_condition`` reads a row as a one-degree-of-freedom likelihood-ratio
+test; the search's d-separation oracle reads the same rows as graph
+queries. A condition "passes" when the observed verdict matches the
+required one at level alpha.
 """
 
 from __future__ import annotations
@@ -26,8 +30,22 @@ from .glm import CiTestResult, GlmError, design_matrix, fit_glm, \
 
 C1, C2, C3, C4 = "C1", "C2", "C3", "C4"
 
-# conditions whose pass-verdict is "dependence detected" (p < alpha)
-_REQUIRES_DEPENDENCE = {C1: True, C2: False, C3: True, C4: False}
+
+@dataclass(frozen=True)
+class Condition:
+    endpoint: str               # RoleMap attribute of the endpoint
+    given: tuple[str, ...]      # RoleMap attributes conditioned on ahead of Z
+    added: str | None           # RoleMap attribute tested; None: the witness
+    respondents_only: bool
+    requires_dependence: bool   # pass verdict: dependence (p < alpha)
+
+
+CONDITIONS = {
+    C1: Condition("response", (), "incentive", False, True),
+    C2: Condition("treatment", ("outcome",), "incentive", True, False),
+    C3: Condition("response", (), None, False, True),
+    C4: Condition("response", ("treatment",), None, False, False),
+}
 
 
 class DegenerateDataError(ValueError):
@@ -46,7 +64,7 @@ class ConditionRecord:
     def passed(self) -> bool:
         if self.result is None:
             return False
-        wants_dependence = _REQUIRES_DEPENDENCE[self.condition]
+        wants_dependence = CONDITIONS[self.condition].requires_dependence
         return self.result.independent != wants_dependence
 
     def to_dict(self) -> dict:
@@ -60,75 +78,65 @@ class ConditionRecord:
         }
 
 
-def _check_binary_endpoint(values: np.ndarray, name: str):
-    if values.size == 0:
+def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
+                  observed: Dataset | None = None) -> ConditionRecord:
+    """Test one row of ``CONDITIONS`` for witness W (None for a row that
+    tests a role) and adjustment set Z.
+
+    ``observed`` is ``subset_observed(ds)``, for a caller that runs many
+    respondents-only tests on one dataset and slices its respondents once.
+    """
+    cond = CONDITIONS[condition]
+    roles = ds.roles
+    Z = tuple(Z)
+    if (W is None) != (cond.added is not None):
+        raise GlmError(f"condition {condition} takes "
+                       f"{'no' if cond.added else 'a'} witness, got {W!r}")
+    _check_adjustment(roles, W, Z)
+    rows = ds
+    if cond.respondents_only:
+        rows = subset_observed(ds) if observed is None else observed
+        if rows.n_rows == 0:
+            raise DegenerateDataError("no rows with response == 1")
+    name = getattr(roles, cond.endpoint)
+    endpoint = rows.column(name)
+    if endpoint.size == 0:
         raise DegenerateDataError(f"no rows available for endpoint {name!r}")
-    if values.min() == values.max():
+    if endpoint.min() == endpoint.max():
         raise DegenerateDataError(f"endpoint column {name!r} is constant")
-
-
-def _lrt(endpoint, base_columns, added_column, alpha) -> CiTestResult:
+    base = ([rows.column(getattr(roles, g)) for g in cond.given]
+            + [rows.column(z) for z in Z])
+    added = rows.column(W if cond.added is None else getattr(roles, cond.added))
     n = endpoint.size
-    null_fit = fit_glm(endpoint, design_matrix(n, *base_columns))
+    null_fit = fit_glm(endpoint, design_matrix(n, *base))
     # start the full fit at the null optimum with the added coefficient at 0;
     # under the null hypothesis that is a few steps from the full optimum
-    full_fit = fit_glm(endpoint, design_matrix(n, *base_columns, added_column),
+    full_fit = fit_glm(endpoint, design_matrix(n, *base, added),
                        start=np.append(null_fit.coefficients, 0.0))
-    return likelihood_ratio_test(null_fit, full_fit, alpha)
+    return ConditionRecord(condition, W, Z,
+                           likelihood_ratio_test(null_fit, full_fit, alpha))
 
 
 def test_c1(ds: Dataset, alpha: float) -> ConditionRecord:
     """Incentive must be associated with the response indicator."""
-    roles = ds.roles
-    response = ds.column(roles.response)
-    _check_binary_endpoint(response, roles.response)
-    result = _lrt(response, (), ds.column(roles.incentive), alpha)
-    return ConditionRecord(C1, None, (), result)
+    return run_condition(C1, ds, None, (), alpha)
 
 
 def test_c2(ds: Dataset, Z, alpha: float,
             observed: Dataset | None = None) -> ConditionRecord:
     """Treatment must be independent of the incentive given the outcome and
-    Z among respondents.
-
-    ``observed`` is ``subset_observed(ds)``, for a caller that runs many C2
-    tests on one dataset and slices its respondents once.
-    """
-    roles = ds.roles
-    Z = tuple(Z)
-    _check_adjustment(roles, None, Z)
-    obs = subset_observed(ds) if observed is None else observed
-    if obs.n_rows == 0:
-        raise DegenerateDataError("no rows with response == 1")
-    treatment = obs.column(roles.treatment)
-    _check_binary_endpoint(treatment, roles.treatment)
-    base = [obs.column(roles.outcome)] + [obs.column(z) for z in Z]
-    result = _lrt(treatment, base, obs.column(roles.incentive), alpha)
-    return ConditionRecord(C2, None, Z, result)
+    Z among respondents."""
+    return run_condition(C2, ds, None, Z, alpha, observed)
 
 
 def test_c3(ds: Dataset, W: str, Z, alpha: float) -> ConditionRecord:
     """Witness W must be associated with the response given Z."""
-    roles = ds.roles
-    Z = tuple(Z)
-    _check_adjustment(roles, W, Z)
-    response = ds.column(roles.response)
-    _check_binary_endpoint(response, roles.response)
-    base = [ds.column(z) for z in Z]
-    result = _lrt(response, base, ds.column(W), alpha)
-    return ConditionRecord(C3, W, Z, result)
+    return run_condition(C3, ds, W, Z, alpha)
 
 
 def test_c4(ds: Dataset, W: str, Z, alpha: float) -> ConditionRecord:
     """Witness W must be independent of the response given treatment and Z."""
-    roles = ds.roles
-    Z = tuple(Z)
-    _check_adjustment(roles, W, Z)
-    response = ds.column(roles.response)
-    _check_binary_endpoint(response, roles.response)
-    base = [ds.column(roles.treatment)] + [ds.column(z) for z in Z]
-    result = _lrt(response, base, ds.column(W), alpha)
-    return ConditionRecord(C4, W, Z, result)
+    return run_condition(C4, ds, W, Z, alpha)
 
 
 def _check_adjustment(roles, W, Z):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__, estimate, experiments, search, shadow
+from . import __version__, estimate, experiments, shadow
 from .data import DataError, RoleMap, load_csv, write_csv
 from .glm import GlmError
 from .search import C1_FAILED, FOUND, NOT_FOUND, find_adjustment_set
@@ -60,6 +60,13 @@ def _resolve(flag_value, config: dict, key: str, default=None):
     if key in config:
         return config[key]
     return default
+
+
+def _check_alpha(alpha):
+    """The test level, from a flag or a config file, must lie in (0, 1)."""
+    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
+        raise click.ClickException(f"alpha must lie in (0, 1), got {alpha}")
+    return alpha
 
 
 def _resolve_roles(config: dict, treatment, outcome, response, incentive,
@@ -150,7 +157,7 @@ def cmd_search(data, config_path, treatment, outcome, response, incentive,
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
-    alpha = _resolve(alpha, config, "alpha", 0.05)
+    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
     max_subset_size = _resolve(max_subset_size, config, "max_subset_size")
     ds = _read_dataset(data, roles)
     try:
@@ -185,9 +192,8 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
     ds = _read_dataset(data, roles)
     try:
-        model = shadow.solve_propensity(ds, Z, h_mode)
-        treat = estimate.fit_treatment_propensity(ds, Z)
-        est = estimate.ipw_ace(ds, Z, model, treat, (clip_lo, clip_hi))
+        model, _, est = estimate.fit_and_weight(ds, Z, h_mode,
+                                                (clip_lo, clip_hi))
     except (shadow.ShadowError, GlmError, ValueError) as exc:
         raise click.ClickException(str(exc)) from exc
     report = {"command": "estimate", "data": str(data),
@@ -215,9 +221,7 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
-    alpha = _resolve(alpha, config, "alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise click.ClickException(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
     max_subset_size = _resolve(max_subset_size, config, "max_subset_size")
     h_mode = _resolve(h_mode, config, "h_mode", shadow.H_MODE_A_MEAN)
     clip_lo = _resolve(clip_lo, config, "clip_lo", 0.01)
@@ -235,10 +239,8 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
                   "response_propensity": None, "treatment_propensity": None,
                   "estimate": None}
         if outcome_.status == FOUND:
-            Z = outcome_.adjustment_set
-            model = shadow.solve_propensity(ds, Z, h_mode)
-            treat = estimate.fit_treatment_propensity(ds, Z)
-            est = estimate.ipw_ace(ds, Z, model, treat, (clip_lo, clip_hi))
+            model, treat, est = estimate.fit_and_weight(
+                ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))
             report["response_propensity"] = model.to_dict()
             report["treatment_propensity"] = {
                 "coefficients": [float(c) for c in treat.coefficients],
@@ -265,6 +267,19 @@ def _parse_grid(text: str):
         raise click.ClickException(f"bad sample-size grid {text!r}") from None
 
 
+def _emit_experiment(summary: dict, report, kind: str, out_dir) -> None:
+    """The summary to stdout, or the summary JSON and the per-trial CSV to
+    ``out_dir``."""
+    if not out_dir:
+        _emit(summary, None)
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _emit(summary, str(out / f"{kind}_summary.json"))
+    (out / f"{kind}_trials.csv").write_text(report.rows_csv())
+    click.echo(f"wrote {out / f'{kind}_summary.json'}")
+
+
 @cmd_experiment.command("search")
 @click.option("--n-grid", default=_GRID_DEFAULT, show_default=True)
 @click.option("--trials", type=int, default=200, show_default=True)
@@ -280,20 +295,15 @@ def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
     """Sensitivity/specificity of the adjustment-set search."""
     seed = 0 if seed is None else seed
     jobs = jobs or experiments.default_jobs()
-    report = experiments.run_search_experiment(
-        _parse_grid(n_grid), trials, alpha, seed=seed, jobs=jobs,
-        oracle=oracle)
+    try:
+        report = experiments.run_search_experiment(
+            _parse_grid(n_grid), trials, _check_alpha(alpha), seed=seed,
+            jobs=jobs, oracle=oracle)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     summary = {"command": "experiment search", "oracle": oracle,
                "jobs_invariant": True, **report.to_dict()}
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "search_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        (out / "search_trials.csv").write_text(report.rows_csv())
-        click.echo(f"wrote {out / 'search_summary.json'}")
-    else:
-        _emit(summary, None)
+    _emit_experiment(summary, report, "search", out_dir)
 
 
 @cmd_experiment.command("estimate")
@@ -315,20 +325,12 @@ def cmd_experiment_estimate(n_grid, trials, alpha, methods, seed, jobs,
     method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
     try:
         report = experiments.run_estimation_experiment(
-            _parse_grid(n_grid), trials, alpha, methods=method_list,
-            seed=seed, jobs=jobs, h_mode=h_mode)
+            _parse_grid(n_grid), trials, _check_alpha(alpha),
+            methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     summary = {"command": "experiment estimate", **report.to_dict()}
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "estimate_summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        (out / "estimate_trials.csv").write_text(report.rows_csv())
-        click.echo(f"wrote {out / 'estimate_summary.json'}")
-    else:
-        _emit(summary, None)
+    _emit_experiment(summary, report, "estimate", out_dir)
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 The main estimator weights each observed-outcome row by the inverse of the
 product of the response propensity p(R=1 | y, z) and the treatment-arm
 probability p(A=a | z), both clipped away from 0 and 1, and averages over
-all rows (rows with a missing outcome contribute zero). Two deliberately
-biased baselines are provided for comparison experiments: complete-case
-IPW that ignores the missingness mechanism, and the full pipeline run on a
-deliberately insufficient adjustment set.
+all rows (rows with a missing outcome contribute zero). ``fit_and_weight``
+runs the whole estimator: it solves the response propensity, fits the
+treatment propensity and weights. Two deliberately biased baselines are
+provided for comparison experiments: complete-case IPW that ignores the
+missingness mechanism, and ``fit_and_weight`` on a deliberately
+insufficient adjustment set.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shadow as shadow_module
 from .data import Dataset, subset_observed
 from .glm import GlmFit, design_matrix, fit_glm
 from .shadow import ShadowPropensityModel, or_propensity
@@ -48,12 +51,6 @@ class AceEstimate:
             "method": self.method,
         }
 
-    def to_csv_row(self) -> str:
-        return ",".join([
-            self.method, repr(self.ace), repr(self.mean_treated),
-            repr(self.mean_control), str(self.n), str(self.n_observed),
-            repr(self.clipped_fraction)])
-
 
 def clip(p, lo: float = DEFAULT_CLIP[0], hi: float = DEFAULT_CLIP[1]):
     """Truncate propensities into [lo, hi]."""
@@ -70,9 +67,18 @@ def fit_treatment_propensity(ds: Dataset, Z) -> GlmFit:
     return fit_glm(a, X)
 
 
-def _arm_probability(treat: GlmFit, X: np.ndarray, arm: int) -> np.ndarray:
-    p1 = treat.predict_proba(X)
-    return p1 if arm == 1 else 1.0 - p1
+def _arm_means(p1, a, y, p_r, lo, hi, n):
+    """Per-arm sums of y / (p_r * p(A=arm)) over the rows given, divided by
+    n, with p(A=1) = p1 clipped into [lo, hi]; and the number of rows whose
+    treatment weight was clipped."""
+    means, n_clipped = {}, 0
+    for arm in (1, 0):
+        p_a = p1 if arm == 1 else 1.0 - p1
+        p_a_clipped = clip(p_a, lo, hi)
+        n_clipped += int(np.sum((p_a != p_a_clipped) & (a == arm)))
+        term = np.where(a == arm, y / (p_r * p_a_clipped), 0.0)
+        means[arm] = float(np.sum(term) / n)
+    return means, n_clipped
 
 
 def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
@@ -96,24 +102,28 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
     p_r = or_propensity(np.nan_to_num(y[obs]), Zm[obs], shadow)
     p_r = np.atleast_1d(p_r)
     p_r_clipped = clip(p_r, lo, hi)
-    n_clipped = int(np.sum(p_r != p_r_clipped))
-    n_weights = p_r.size
-
-    means = {}
-    for arm in (1, 0):
-        p_a = _arm_probability(treat, X, arm)[obs]
-        p_a_clipped = clip(p_a, lo, hi)
-        n_clipped += int(np.sum((p_a != p_a_clipped) & (a[obs] == arm)))
-        n_weights += int(np.sum(a[obs] == arm))
-        term = np.where(a[obs] == arm,
-                        y[obs] / (p_r_clipped * p_a_clipped), 0.0)
-        means[arm] = float(np.sum(term) / n)
+    means, n_clipped = _arm_means(treat.predict_proba(X)[obs], a[obs], y[obs],
+                                  p_r_clipped, lo, hi, n)
+    n_clipped += int(np.sum(p_r != p_r_clipped))
+    n_weights = 2 * p_r.size   # a response and a treatment weight per row
 
     return AceEstimate(
         mean_treated=means[1], mean_control=means[0],
         ace=means[1] - means[0], n=n, n_observed=int(obs.sum()),
         clipped_fraction=(n_clipped / n_weights if n_weights else 0.0),
         method=method)
+
+
+def fit_and_weight(ds: Dataset, Z, h_mode: str = shadow_module.H_MODE_A_MEAN,
+                   clip_bounds=DEFAULT_CLIP, method: str = METHOD_FULL
+                   ) -> tuple[ShadowPropensityModel, GlmFit, AceEstimate]:
+    """The double-IPW estimator on adjustment set Z: solve the response
+    propensity, fit the treatment propensity, and weight. Returns both
+    fitted models with the estimate."""
+    model = shadow_module.solve_propensity(ds, Z, h_mode)
+    treat = fit_treatment_propensity(ds, Z)
+    return model, treat, ipw_ace(ds, Z, model, treat, clip_bounds,
+                                 method=method)
 
 
 def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
@@ -128,14 +138,7 @@ def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
     y = obs.column(roles.outcome)
     treat = fit_treatment_propensity(obs, Z)
     X = design_matrix(n, *(obs.column(z) for z in Z))
-    n_clipped = 0
-    means = {}
-    for arm in (1, 0):
-        p_a = _arm_probability(treat, X, arm)
-        p_a_clipped = clip(p_a, lo, hi)
-        n_clipped += int(np.sum((p_a != p_a_clipped) & (a == arm)))
-        term = np.where(a == arm, y / p_a_clipped, 0.0)
-        means[arm] = float(np.sum(term) / n)
+    means, n_clipped = _arm_means(treat.predict_proba(X), a, y, 1.0, lo, hi, n)
     return AceEstimate(
         mean_treated=means[1], mean_control=means[0],
         ace=means[1] - means[0], n=ds.n_rows, n_observed=n,
@@ -148,10 +151,5 @@ def baseline_wrong_adjustment(ds: Dataset, Z=("W2", "W3"),
                               clip_bounds=DEFAULT_CLIP) -> AceEstimate:
     """Full pipeline (response and treatment propensities, double IPW) run
     with a deliberately insufficient adjustment set."""
-    from .shadow import solve_propensity
-
-    shadow = solve_propensity(ds, Z, h_mode)
-    treat = fit_treatment_propensity(ds, Z)
-    est = ipw_ace(ds, Z, shadow, treat, clip_bounds,
-                  method=METHOD_WRONG_ADJUSTMENT)
-    return est
+    return fit_and_weight(ds, Z, h_mode, clip_bounds,
+                          METHOD_WRONG_ADJUSTMENT)[2]

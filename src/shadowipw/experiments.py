@@ -13,11 +13,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import estimate, search, shadow
+from . import estimate, shadow
 from .search import FOUND, GraphOracleTester, find_adjustment_set
 from .simulate import (SCENARIO_ADD_A_TO_RY, SCENARIO_BASE, SCENARIO_HIDE_W4,
-                       DgpConfig, default_config, generate, roles_for,
-                       scenario_graph, true_ace)
+                       DgpConfig, default_config, generate, scenario_graph,
+                       true_ace)
 
 CORRECT_SET = ("W2", "W3", "W4")
 _NEGATIVE_SEED_STRIDE = 1_000_003  # keeps positive/negative streams disjoint
@@ -210,34 +210,23 @@ def _estimation_trial(args):
     ds = generate(config)
     results = {}
     for method in methods:
-        if method == estimate.METHOD_FULL:
-            outcome = find_adjustment_set(ds, alpha)
-            if outcome.status != FOUND:
-                results[method] = None
-                continue
-            Z = outcome.adjustment_set
-        elif method == estimate.METHOD_ORACLE_SEARCH:
-            tester = GraphOracleTester(scenario_graph(config.scenario),
-                                       ds.roles)
+        if method in (estimate.METHOD_FULL, estimate.METHOD_ORACLE_SEARCH):
+            tester = None
+            if method == estimate.METHOD_ORACLE_SEARCH:
+                tester = GraphOracleTester(scenario_graph(config.scenario),
+                                           ds.roles)
             outcome = find_adjustment_set(ds, alpha, tester=tester)
-            if outcome.status != FOUND:
-                results[method] = None
-                continue
-            Z = outcome.adjustment_set
+            results[method] = (estimate.fit_and_weight(
+                ds, outcome.adjustment_set, h_mode, method=method)[2].ace
+                if outcome.status == FOUND else None)
         elif method == estimate.METHOD_IGNORE_MISSINGNESS:
             results[method] = estimate.baseline_ignore_missingness(
                 ds, CORRECT_SET).ace
-            continue
         elif method == estimate.METHOD_WRONG_ADJUSTMENT:
             results[method] = estimate.baseline_wrong_adjustment(
                 ds, h_mode=h_mode).ace
-            continue
         else:
             raise ValueError(f"unknown method {method!r}")
-        model = shadow.solve_propensity(ds, Z, h_mode)
-        treat = estimate.fit_treatment_propensity(ds, Z)
-        results[method] = estimate.ipw_ace(ds, Z, model, treat,
-                                           method=method).ace
     return seed, results
 
 
@@ -253,6 +242,8 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     methods = tuple(methods)
     for m in methods:
         if m not in ALL_METHODS:

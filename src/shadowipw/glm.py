@@ -1,4 +1,4 @@
-"""Generalized linear models (logistic, gaussian) and likelihood-ratio tests.
+"""Logistic regression and likelihood-ratio tests.
 
 This is the statistical engine behind the conditional-independence tests.
 Logistic fits use iteratively reweighted least squares with step-halving.
@@ -6,9 +6,7 @@ As in R's ``glm.fit``, each iteration evaluates the log-likelihood once, at
 the candidate step, and carries it forward; a step is kept when it lowers
 the log-likelihood by no more than a bound scaled to |ll|, the rounding
 error of a sum over many rows. A fit may be warm-started, as the full fit
-of a likelihood-ratio test is from its null fit. Gaussian fits are exact
-least squares with the log-likelihood evaluated at the maximum-likelihood
-variance.
+of a likelihood-ratio test is from its null fit.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, gammaincc
-
-LOGISTIC = "logistic"
-GAUSSIAN = "gaussian"
 
 # L2 coefficient norm beyond which a logistic fit is treated as separated
 SEPARATION_NORM = 30.0
@@ -31,7 +26,6 @@ class GlmError(ValueError):
 
 @dataclass(frozen=True)
 class GlmFit:
-    family: str
     coefficients: np.ndarray
     log_likelihood: float
     converged: bool
@@ -41,9 +35,9 @@ class GlmFit:
     rank_deficient: bool = False
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """P(y=1 | X) for logistic fits; fitted mean for gaussian fits."""
+        """P(y=1 | X)."""
         eta = np.clip(np.asarray(X) @ self.coefficients, -500.0, 500.0)
-        return expit(eta) if self.family == LOGISTIC else eta
+        return expit(eta)
 
 
 @dataclass(frozen=True)
@@ -144,24 +138,16 @@ def _fit_logistic(y, Xt, max_iter, tol, start):
             break
     if separated:
         converged = False
-    return GlmFit(LOGISTIC, beta, ll, bool(converged), iterations, y.size,
+    return GlmFit(beta, ll, bool(converged), iterations, y.size,
                   bool(separated), rank_deficient)
 
 
-def _fit_gaussian(y, X):
-    n, p = X.shape
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    resid = y - X @ beta
-    sigma2 = max(float(resid @ resid) / n, 1e-30)
-    ll = -0.5 * n * (np.log(2.0 * np.pi * sigma2) + 1.0)
-    return beta, ll, bool(rank < p)
+def fit_glm(y, X, max_iter: int = 50, tol: float = 1e-8,
+            start=None) -> GlmFit:
+    """Logistic fit of a 0/1 response y on the design matrix X (intercept
+    column included by caller).
 
-
-def fit_glm(y, X, family: str = LOGISTIC, max_iter: int = 50,
-            tol: float = 1e-8, start=None) -> GlmFit:
-    """Fit y on the design matrix X (intercept column included by caller).
-
-    Logistic fits run IRLS until the score max-norm drops below ``tol``.
+    The fit runs IRLS until the score max-norm drops below ``tol``.
     Each iteration evaluates the log-likelihood once, at the candidate
     step, and carries it forward. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
@@ -174,7 +160,7 @@ def fit_glm(y, X, family: str = LOGISTIC, max_iter: int = 50,
     largest, or the gram cannot be solved; such fits use the minimum-norm
     solution.
 
-    ``start`` gives initial logistic coefficients (default zeros), such as
+    ``start`` gives initial coefficients (default zeros), such as
     a nested fit's coefficients with zeros appended. It only saves
     iterations: a warm-started fit that does not converge is repeated from
     zeros, so its flags and capped likelihood never depend on ``start``.
@@ -193,19 +179,14 @@ def fit_glm(y, X, family: str = LOGISTIC, max_iter: int = 50,
         if start.shape != (p,) or not np.isfinite(start).all():
             raise GlmError(f"start must hold {p} finite coefficients, "
                            f"got shape {start.shape}")
-    if family == LOGISTIC:
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise GlmError("logistic family requires a 0/1 response")
-        # free when X is column-major, as design_matrix builds it
-        Xt = np.ascontiguousarray(X.T)
-        fit = _fit_logistic(y, Xt, max_iter, tol, start)
-        if start is not None and not fit.converged:
-            fit = _fit_logistic(y, Xt, max_iter, tol, None)
-        return fit
-    if family == GAUSSIAN:
-        beta, ll, rank_def = _fit_gaussian(y, X)
-        return GlmFit(GAUSSIAN, beta, ll, True, 0, n, False, rank_def)
-    raise GlmError(f"unknown family {family!r}")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise GlmError("logistic regression requires a 0/1 response")
+    # free when X is column-major, as design_matrix builds it
+    Xt = np.ascontiguousarray(X.T)
+    fit = _fit_logistic(y, Xt, max_iter, tol, start)
+    if start is not None and not fit.converged:
+        fit = _fit_logistic(y, Xt, max_iter, tol, None)
+    return fit
 
 
 def likelihood_ratio_test(null_fit: GlmFit, full_fit: GlmFit,
@@ -215,8 +196,6 @@ def likelihood_ratio_test(null_fit: GlmFit, full_fit: GlmFit,
     The statistic 2*(ll_full - ll_null) is clamped at zero, which absorbs
     round-off on identical designs.
     """
-    if null_fit.family != full_fit.family:
-        raise GlmError("cannot compare fits from different families")
     if null_fit.n_obs != full_fit.n_obs:
         raise GlmError(f"fits use different sample sizes "
                        f"({null_fit.n_obs} vs {full_fit.n_obs})")

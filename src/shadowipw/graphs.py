@@ -1,13 +1,14 @@
-"""Directed acyclic graphs with latent nodes, and d-separation queries.
+"""Directed acyclic graphs and d-separation queries.
 
 Used as the independence oracle in search experiments: conditions are
 decided by graph structure instead of finite-sample tests. Correlated
-covariate errors are represented by explicit latent parent nodes.
+covariate errors are represented by explicit latent parent nodes, which
+are ordinary nodes that no dataset column names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
@@ -15,7 +16,6 @@ import networkx as nx
 @dataclass(frozen=True)
 class Dag:
     edges: tuple[tuple[str, str], ...]
-    latents: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         g = nx.DiGraph(self.edges)
@@ -23,18 +23,9 @@ class Dag:
             raise ValueError("graph has a directed cycle")
         object.__setattr__(self, "_graph", g)
 
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(self._graph.nodes)
-
     def d_separated(self, x: str, y: str, given=()) -> bool:
         g = self._graph
         for node in (x, y, *given):
             if node not in g:
                 raise ValueError(f"unknown node {node!r}")
         return nx.is_d_separator(g, {x}, {y}, set(given))
-
-
-def latent_pair(name: str, a: str, b: str):
-    """Edges realizing a correlated-error / unmeasured-confounder pair."""
-    return [(name, a), (name, b)]

@@ -6,18 +6,21 @@ Z of the remaining covariates by ascending size and lexicographic order of
 column positions, accepting the first (W, Z) for which C2, C3, and C4 all
 pass (evaluated in that order with short-circuiting).
 
-The condition backend is pluggable: LrtTester runs the likelihood-ratio
-tests on the dataset; GraphOracleTester answers from d-separation on a
-known generating graph, with pass/fail encoded as p-values 1.0/0.0.
+Both condition backends read the rows of ``citest.CONDITIONS``, so they
+cannot disagree on what a condition conditions on or requires: LrtTester
+runs each row as a likelihood-ratio test on the dataset; GraphOracleTester
+answers it from d-separation on a known generating graph, with pass/fail
+encoded as p-values 1.0/0.0. A test error is recorded in the trail under
+the witness only for the rows that test the witness (C3, C4).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import citest
-from .citest import C1, C2, C3, C4, ConditionRecord, DegenerateDataError
+from .citest import C1, C2, C3, C4, CONDITIONS, ConditionRecord
 from .data import Dataset, RoleMap
 from .glm import CiTestResult
 from .graphs import Dag
@@ -82,50 +85,43 @@ class LrtTester:
 class GraphOracleTester:
     """d-separation backend over a known generating DAG.
 
-    Node names for treatment/outcome/response/incentive are taken from the
-    RoleMap, so oracle answers line up with dataset columns.
+    It reads the rows of ``citest.CONDITIONS``: a row holds when the tested
+    variable and the endpoint are d-separated given the row's roles and Z,
+    and a respondents-only row also conditions on the response node. Node
+    names for the roles are taken from the RoleMap, so oracle answers line
+    up with dataset columns.
     """
 
     def __init__(self, graph: Dag, roles: RoleMap):
         self.graph = graph
         self.roles = roles
 
-    def _record(self, condition, witness, Z, dependent: bool, alpha):
+    def _decide(self, condition, W, Z, alpha):
+        cond = CONDITIONS[condition]
+        roles = self.roles
+        given = [getattr(roles, g) for g in cond.given]
+        if cond.respondents_only:
+            given.append(roles.response)
+        added = W if cond.added is None else getattr(roles, cond.added)
+        dependent = not self.graph.d_separated(
+            added, getattr(roles, cond.endpoint), (*given, *Z))
         # encode a certain verdict as a degenerate test result
-        p = 0.0 if dependent else 1.0
         result = CiTestResult(statistic=float("inf") if dependent else 0.0,
-                              df=1, p_value=p, independent=not dependent,
-                              alpha=alpha)
-        return ConditionRecord(condition, witness, tuple(Z), result)
+                              df=1, p_value=0.0 if dependent else 1.0,
+                              independent=not dependent, alpha=alpha)
+        return ConditionRecord(condition, W, tuple(Z), result)
 
     def c1(self, alpha):
-        dep = not self.graph.d_separated(self.roles.incentive,
-                                         self.roles.response)
-        return self._record(C1, None, (), dep, alpha)
+        return self._decide(C1, None, (), alpha)
 
     def c2(self, Z, alpha):
-        given = (self.roles.outcome, self.roles.response, *Z)
-        dep = not self.graph.d_separated(self.roles.treatment,
-                                         self.roles.incentive, given)
-        return self._record(C2, None, Z, dep, alpha)
+        return self._decide(C2, None, Z, alpha)
 
     def c3(self, W, Z, alpha):
-        dep = not self.graph.d_separated(W, self.roles.response, tuple(Z))
-        return self._record(C3, W, Z, dep, alpha)
+        return self._decide(C3, W, Z, alpha)
 
     def c4(self, W, Z, alpha):
-        given = (self.roles.treatment, *Z)
-        dep = not self.graph.d_separated(W, self.roles.response, given)
-        return self._record(C4, W, Z, dep, alpha)
-
-
-def enumerate_subsets(items, size: int):
-    """All size-``size`` subsets of ``items`` in lexicographic order of the
-    original positions."""
-    items = tuple(items)
-    if size > len(items):
-        raise ValueError(f"subset size {size} exceeds {len(items)} items")
-    return [frozenset(c) for c in itertools.combinations(items, size)]
+        return self._decide(C4, W, Z, alpha)
 
 
 def find_adjustment_set(ds: Dataset, alpha: float,
@@ -159,21 +155,20 @@ def find_adjustment_set(ds: Dataset, alpha: float,
             limit = min(limit, max_subset_size)
         for size in range(limit + 1):
             for Z in itertools.combinations(remaining, size):
-                candidate_ok = True
                 for cond, runner in ((C2, lambda: tester.c2(Z, alpha)),
                                      (C3, lambda: tester.c3(witness, Z, alpha)),
                                      (C4, lambda: tester.c4(witness, Z, alpha))):
                     try:
                         record = runner()
-                    except (DegenerateDataError, ValueError) as exc:
+                    except ValueError as exc:   # DegenerateDataError, GlmError
+                        uses_witness = CONDITIONS[cond].added is None
                         record = ConditionRecord(
-                            cond, None if cond == C2 else witness, Z,
+                            cond, witness if uses_witness else None, Z,
                             None, error=str(exc))
                     trail.append(record)
                     if not record.passed:
-                        candidate_ok = False
                         break
-                if candidate_ok:
+                else:
                     return SearchOutcome(FOUND, witness, Z, tuple(trail),
                                          len(trail))
     return SearchOutcome(NOT_FOUND, None, None, tuple(trail), len(trail))

@@ -19,7 +19,7 @@ Rows with R = 0 contribute -h_j, so only observed outcomes are used.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -71,19 +71,6 @@ class ShadowPropensityModel:
         return cls(beta=np.zeros(len(adjustment)), gamma=0.0, y_ref=0.0,
                    adjustment=adjustment, residual_norm=0.0, converged=True,
                    iterations=0, degenerate=True)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values",
-                           np.asarray(self.values, dtype=float))
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
 def or_blend(pi0, eta):
@@ -188,15 +175,15 @@ def _jacobian(theta, r, y, Z, H):
 
 
 def moment_residuals(ds: Dataset, model: ShadowPropensityModel,
-                     h_mode: str = H_MODE_A_MEAN) -> MomentVector:
+                     h_mode: str = H_MODE_A_MEAN) -> np.ndarray:
     """Empirical means of the k+1 estimating equations at the model's
     parameters (with the model's y_ref folded in)."""
     r, y, Z, H = _moment_pieces(ds, model.adjustment, h_mode)
     if model.degenerate:
         w = np.where(r == 1.0, 0.0, -1.0)
-        return MomentVector(H.T @ w / r.size)
+        return H.T @ w / r.size
     theta = np.append(model.beta, model.gamma)
-    return MomentVector(_residuals(theta, r, y - model.y_ref, Z, H))
+    return _residuals(theta, r, y - model.y_ref, Z, H)
 
 
 def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN,

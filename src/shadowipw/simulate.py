@@ -160,14 +160,12 @@ def scenario_graph(scenario: str = SCENARIO_BASE) -> Dag:
              ("A", "Y"), ("W2", "Y"), ("W3", "Y"), ("W4", "Y"),
              ("Y", "R"), ("W2", "R"), ("W3", "R"), ("W4", "R"),
              ("I", "R")]
-    latents = {"U23", "U24", "U34"}
     if scenario == SCENARIO_ADD_A_TO_RY:
         edges.append(("A", "R"))
-    elif scenario == SCENARIO_HIDE_W4:
-        latents = latents | {"W4"}
-    elif scenario != SCENARIO_BASE:
+    elif scenario not in (SCENARIO_BASE, SCENARIO_HIDE_W4):
+        # hide_w4 drops W4 from the data only; the graph keeps it
         raise ValueError(f"unknown scenario {scenario!r}")
-    return Dag(tuple(edges), frozenset(latents))
+    return Dag(tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def example_graph() -> Dag:
     edges = (("U1", "W1"), ("U1", "W2"), ("U2", "W1"), ("U2", "A"),
              ("W3", "A"), ("A", "Y"), ("W2", "Y"), ("Y", "R"),
              ("W1", "R"), ("I", "R"))
-    return Dag(edges, frozenset({"U1", "U2"}))
+    return Dag(edges)
 
 
 def example_roles() -> RoleMap:

@@ -125,9 +125,9 @@ def test_criterion_4_alpha_trend(search_reports):
     "Positive" means the search returned the correct set (see
     ``run_search_experiment``). At the correct candidate (W1; W2,W3,W4) C3's
     dependence is detected at every alpha tested, so the positive outcome is
-    decided by C2 and C4. Both require independence
-    (``citest._REQUIRES_DEPENDENCE`` maps them to False, so they pass when
-    p >= alpha) and are calibrated (criterion 7), so a true candidate
+    decided by C2 and C4. Both require independence (their rows of
+    ``citest.CONDITIONS`` set ``requires_dependence`` to False, so they pass
+    when p >= alpha) and are calibrated (criterion 7), so a true candidate
     survives both with probability about (1 - alpha)^2, which must fall as
     alpha grows. Specificity is C2's power against the A->R edge of
     ``add_a_to_ry`` (``hide_w4`` is rejected at every alpha), and power

@@ -211,3 +211,52 @@ class TestExperimentCommands:
         summary = json.loads((out_dir / "estimate_summary.json").read_text())
         assert summary["cells"][0]["method"] == "oracle_search"
         assert (out_dir / "estimate_trials.csv").exists()
+
+
+class TestArgumentChecks:
+    """Every command that takes a test level rejects one outside (0, 1)
+    before doing any work, and a trial count below 1 ends in an error
+    message rather than a traceback."""
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+    def test_dataset_commands_reject_alpha(self, tmp_path, runner, command,
+                                           alpha):
+        csv = simulate_csv(tmp_path, runner, n=200, seed=1, name="t.csv")
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS,
+                                      "--alpha", alpha])
+        assert result.exit_code == 1
+        assert "alpha must lie in (0, 1)" in result.output
+
+    def test_config_file_alpha_must_be_a_number(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=200, seed=1, name="t.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": "0.05"}))
+        result = runner.invoke(main, ["search", str(csv), *ROLE_FLAGS,
+                                      "--config", str(config)])
+        assert result.exit_code == 1
+        assert "alpha must lie in (0, 1)" in result.output
+
+    @pytest.mark.parametrize("experiment", ["search", "estimate"])
+    @pytest.mark.parametrize("alpha", ["0", "1"])
+    def test_experiments_reject_alpha(self, tmp_path, runner, experiment,
+                                      alpha):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "experiment", experiment, "--n-grid", "200", "--trials", "1",
+            "--jobs", "1", "--alpha", alpha, "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert "alpha must lie in (0, 1)" in result.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("experiment", ["search", "estimate"])
+    def test_experiments_reject_zero_trials(self, tmp_path, runner,
+                                            experiment):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "experiment", experiment, "--n-grid", "200", "--trials", "0",
+            "--jobs", "1", "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "trials must be >= 1" in result.output
+        assert not out_dir.exists()

@@ -9,19 +9,37 @@ from shadowipw.estimate import (METHOD_IGNORE_MISSINGNESS,
                                 METHOD_WRONG_ADJUSTMENT,
                                 baseline_ignore_missingness,
                                 baseline_wrong_adjustment, clip,
-                                fit_treatment_propensity, ipw_ace)
-from shadowipw.glm import GlmFit, LOGISTIC, design_matrix, fit_glm
+                                fit_and_weight, fit_treatment_propensity,
+                                ipw_ace)
+from shadowipw.glm import GlmFit, design_matrix, fit_glm
 from shadowipw.shadow import ShadowPropensityModel
 from shadowipw.simulate import default_config, generate
 
 from oracles import DiscreteModel
 
 WIDE_CLIP = (1e-6, 1.0 - 1e-12)
+CORRECT_SET = ("W2", "W3", "W4")
+PINNED_ESTIMATES = {
+    "ignore_missingness": {
+        "mean_treated": 0.9440628088123747, "mean_control": 0.760287613547093,
+        "ace": 0.18377519526528174, "n": 10000, "n_observed": 6143,
+        "clipped_fraction": 0.08595148950024419,
+        "method": "ignore_missingness"},
+    "wrong_adjustment": {
+        "mean_treated": 0.9985771419572962,
+        "mean_control": 0.43460984690750903, "ace": 0.5639672950497872,
+        "n": 10000, "n_observed": 6143,
+        "clipped_fraction": 0.02034836399153508, "method": "wrong_adjustment"},
+    "full": {
+        "mean_treated": 0.7455072144231862, "mean_control": 0.5224358791200093,
+        "ace": 0.2230713353031769, "n": 10000, "n_observed": 6143,
+        "clipped_fraction": 0.07707960279993488, "method": "full"},
+}
 
 
 def oracle_treatment_fit(n, *coefficients):
     coef = np.asarray(coefficients, dtype=float)
-    return GlmFit(LOGISTIC, coef, 0.0, True, 0, n)
+    return GlmFit(coef, 0.0, True, 0, n)
 
 
 def balanced_no_missingness_dataset(n=400, seed=0):
@@ -270,10 +288,24 @@ class TestBaselines:
         wrong = baseline_wrong_adjustment(ds)
         assert wrong.ace == pytest.approx(full.ace, rel=1e-12)
 
+    def test_estimates_are_pinned(self):
+        # seed 3, n=10^4: what the three estimators gave before they shared
+        # fit_and_weight; folding the complete-case baseline into ipw_ace
+        # with a p = 1 response model would move it (p = 1 clips to 0.99)
+        ds = generate(default_config(n=10000, seed=3))
+        estimates = (baseline_ignore_missingness(ds, CORRECT_SET),
+                     baseline_wrong_adjustment(ds),
+                     fit_and_weight(ds, CORRECT_SET)[2])
+        for est in estimates:
+            got, want = est.to_dict(), PINNED_ESTIMATES[est.method]
+            assert {k: got[k] for k in ("n", "n_observed", "method")} == \
+                {k: want[k] for k in ("n", "n_observed", "method")}
+            for key in ("mean_treated", "mean_control", "ace",
+                        "clipped_fraction"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12)
+
     def test_serialization(self):
         ds = balanced_no_missingness_dataset()
         est = baseline_ignore_missingness(ds, ("W1",))
         d = est.to_dict()
         assert d["ace"] == pytest.approx(d["mean_treated"] - d["mean_control"])
-        csv_row = est.to_csv_row()
-        assert csv_row.startswith("ignore_missingness,")

@@ -6,29 +6,11 @@ from shadowipw.citest import C1, ConditionRecord
 from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
 from shadowipw.glm import CiTestResult
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
-                              LrtTester, SearchOutcome, enumerate_subsets,
-                              find_adjustment_set)
+                              LrtTester, SearchOutcome, find_adjustment_set)
 from shadowipw.simulate import (default_config, example_graph,
                                 generate, generate_example, scenario_graph)
 
 ALPHA = 0.05
-
-
-class TestEnumerateSubsets:
-    def test_pairs_in_lexicographic_position_order(self):
-        out = enumerate_subsets(("a", "b", "c"), 2)
-        assert out == [frozenset({"a", "b"}), frozenset({"a", "c"}),
-                       frozenset({"b", "c"})]
-
-    def test_size_zero_is_the_empty_set(self):
-        assert enumerate_subsets(("a", "b"), 0) == [frozenset()]
-
-    def test_full_size_is_the_whole_set(self):
-        assert enumerate_subsets(("a", "b"), 2) == [frozenset({"a", "b"})]
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_subsets(("a",), 2)
 
 
 class TestLrtSearch:
@@ -173,6 +155,55 @@ class TestPinnedVerdicts:
         assert len(slices) == 1
 
 
+# every (condition, witness, adjustment, passed) of the oracle search, as the
+# hand-written d-separation queries gave them before both backends read
+# citest.CONDITIONS; the oracle ignores the data, so any draw will do
+ORACLE_TRAILS = {
+    "base": (("C1", None, (), True), ("C2", None, (), False),
+        ("C2", None, ("W2",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W4",), False), ("C2", None, ("W2", "W3"), False),
+        ("C2", None, ("W2", "W4"), False), ("C2", None, ("W3", "W4"), False),
+        ("C2", None, ("W2", "W3", "W4"), True),
+        ("C3", "W1", ("W2", "W3", "W4"), True),
+        ("C4", "W1", ("W2", "W3", "W4"), True)),
+    "add_a_to_ry": (("C1", None, (), True), ("C2", None, (), False),
+        ("C2", None, ("W2",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W4",), False), ("C2", None, ("W2", "W3"), False),
+        ("C2", None, ("W2", "W4"), False), ("C2", None, ("W3", "W4"), False),
+        ("C2", None, ("W2", "W3", "W4"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W4",), False), ("C2", None, ("W1", "W3"), False),
+        ("C2", None, ("W1", "W4"), False), ("C2", None, ("W3", "W4"), False),
+        ("C2", None, ("W1", "W3", "W4"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), False), ("C2", None, ("W2",), False),
+        ("C2", None, ("W4",), False), ("C2", None, ("W1", "W2"), False),
+        ("C2", None, ("W1", "W4"), False), ("C2", None, ("W2", "W4"), False),
+        ("C2", None, ("W1", "W2", "W4"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), False), ("C2", None, ("W2",), False),
+        ("C2", None, ("W3",), False), ("C2", None, ("W1", "W2"), False),
+        ("C2", None, ("W1", "W3"), False), ("C2", None, ("W2", "W3"), False),
+        ("C2", None, ("W1", "W2", "W3"), False)),
+    "hide_w4": (("C1", None, (), True), ("C2", None, (), False),
+        ("C2", None, ("W2",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W2", "W3"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W1", "W3"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), False), ("C2", None, ("W2",), False),
+        ("C2", None, ("W1", "W2"), False)),
+    "example": (("C1", None, (), True), ("C2", None, (), False),
+        ("C2", None, ("W2",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W2", "W3"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), True), ("C3", "W2", ("W1",), True),
+        ("C4", "W2", ("W1",), False), ("C2", None, ("W3",), False),
+        ("C2", None, ("W1", "W3"), True), ("C3", "W2", ("W1", "W3"), True),
+        ("C4", "W2", ("W1", "W3"), False), ("C2", None, (), False),
+        ("C2", None, ("W1",), True), ("C3", "W3", ("W1",), True),
+        ("C4", "W3", ("W1",), False), ("C2", None, ("W2",), False),
+        ("C2", None, ("W1", "W2"), True), ("C3", "W3", ("W1", "W2"), True),
+        ("C4", "W3", ("W1", "W2"), True)),
+}
+
+
 class TestGraphOracleSearch:
     """With d-separation substituted for the tests, the search must decide
     exactly as the graph dictates."""
@@ -206,6 +237,20 @@ class TestGraphOracleSearch:
         seen = [(rec.condition, rec.witness, rec.adjustment)
                 for rec in outcome.trail]
         assert ("C4", "W3", ("W1",)) in seen
+
+    @pytest.mark.parametrize("scenario", sorted(ORACLE_TRAILS))
+    def test_full_trail_is_pinned(self, scenario, base_ds_small):
+        if scenario == "example":
+            ds, graph = generate_example(200, seed=0), example_graph()
+        elif scenario == "hide_w4":
+            ds = generate(default_config(n=500, seed=2, scenario=scenario))
+            graph = scenario_graph(scenario)
+        else:
+            ds, graph = base_ds_small, scenario_graph(scenario)
+        outcome = find_adjustment_set(ds, ALPHA,
+                                      tester=GraphOracleTester(graph, ds.roles))
+        assert tuple((rec.condition, rec.witness, rec.adjustment, rec.passed)
+                     for rec in outcome.trail) == ORACLE_TRAILS[scenario]
 
     def test_oracle_and_lrt_agree_at_scale(self, base_ds_10k):
         tester = GraphOracleTester(scenario_graph(), base_ds_10k.roles)
