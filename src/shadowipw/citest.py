@@ -140,11 +140,7 @@ def test_c4(ds: Dataset, W: str, Z, alpha: float) -> ConditionRecord:
 
 
 def _check_adjustment(roles, W, Z):
-    role_names = {roles.treatment, roles.outcome, roles.response,
-                  roles.incentive}
     for z in Z:
-        if z in role_names:
-            raise GlmError(f"adjustment set may not contain role column {z!r}")
         if z not in roles.covariates:
             raise GlmError(f"adjustment column {z!r} is not a covariate")
     if W is not None:

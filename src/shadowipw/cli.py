@@ -69,6 +69,34 @@ def _check_alpha(alpha):
     return alpha
 
 
+def _search_settings(config: dict, alpha, max_subset_size):
+    """The test level and the subset-size bound (None or an integer >= 0),
+    from flags or the config file, checked before the data are read."""
+    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
+    size = _resolve(max_subset_size, config, "max_subset_size")
+    if size is not None and (isinstance(size, bool)
+                             or not isinstance(size, int) or size < 0):
+        raise click.ClickException(
+            f"max_subset_size must be an integer >= 0, got {size}")
+    return alpha, size
+
+
+def _weighting_settings(config: dict, h_mode, clip_lo, clip_hi):
+    """The h mode and the clip bounds (0 < lo < hi < 1), from flags or the
+    config file, checked before the data are read."""
+    h_mode = _resolve(h_mode, config, "h_mode", shadow.H_MODE_A_MEAN)
+    if h_mode not in shadow.H_MODES:
+        raise click.ClickException(
+            f"h_mode must be one of {', '.join(shadow.H_MODES)}, got {h_mode}")
+    lo = _resolve(clip_lo, config, "clip_lo", 0.01)
+    hi = _resolve(clip_hi, config, "clip_hi", 0.99)
+    if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
+            and 0.0 < lo < hi < 1.0):
+        raise click.ClickException(
+            f"clip bounds must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
+    return h_mode, lo, hi
+
+
 def _resolve_roles(config: dict, treatment, outcome, response, incentive,
                    covariates) -> RoleMap:
     values = {
@@ -157,8 +185,7 @@ def cmd_search(data, config_path, treatment, outcome, response, incentive,
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
-    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
-    max_subset_size = _resolve(max_subset_size, config, "max_subset_size")
+    alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
     ds = _read_dataset(data, roles)
     try:
         outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
@@ -186,9 +213,8 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
-    h_mode = _resolve(h_mode, config, "h_mode", shadow.H_MODE_A_MEAN)
-    clip_lo = _resolve(clip_lo, config, "clip_lo", 0.01)
-    clip_hi = _resolve(clip_hi, config, "clip_hi", 0.99)
+    h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
+                                                   clip_hi)
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
     ds = _read_dataset(data, roles)
     try:
@@ -221,11 +247,9 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
-    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
-    max_subset_size = _resolve(max_subset_size, config, "max_subset_size")
-    h_mode = _resolve(h_mode, config, "h_mode", shadow.H_MODE_A_MEAN)
-    clip_lo = _resolve(clip_lo, config, "clip_lo", 0.01)
-    clip_hi = _resolve(clip_hi, config, "clip_hi", 0.99)
+    alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
+    h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
+                                                   clip_hi)
     seed = _resolve(seed, config, "seed", 0)
 
     ds = _read_dataset(data, roles)

@@ -1,9 +1,10 @@
 """Columnar dataset with explicit outcome missingness, role assignment, and CSV I/O.
 
-Columns are immutable float64 arrays. The outcome is the only column allowed
-to contain missing cells (stored as NaN), and its missingness pattern must
-agree with the binary response indicator: outcome is missing exactly on rows
-where response == 0.
+Columns are immutable float64 arrays. Every dataset carries a RoleMap, and
+the roles alone decide what a column may hold: the treatment and the
+response are 0/1, the outcome is the only column allowed to contain missing
+cells (stored as NaN), and it is missing exactly on rows where
+response == 0.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ from pathlib import Path
 import numpy as np
 
 MISSING_TOKENS = ("", "NA")
-
-BINARY = "binary"
-CONTINUOUS = "continuous"
-OPTIONAL = "optional"
-COLUMN_KINDS = (BINARY, CONTINUOUS, OPTIONAL)
 
 
 class DataError(ValueError):
@@ -77,20 +73,19 @@ class RoleMap:
 
 
 class Dataset:
-    """Immutable column-major table with typed columns.
+    """Immutable column-major table whose roles are validated eagerly.
 
     Parameters
     ----------
     columns : mapping of name -> 1-D array-like, insertion order preserved
-    kinds : mapping of name -> one of BINARY / CONTINUOUS / OPTIONAL
-    roles : optional RoleMap; when present, the missing-data consistency
-        invariant (outcome missing <=> response == 0) is enforced eagerly
+    roles : RoleMap; every role column must exist and not be an oracle
+        column, the treatment and the response must be 0/1, and the
+        outcome must be missing exactly where the response is 0
     oracle : names of columns carried for ground-truth evaluation only;
         they may not be referenced by any role
     """
 
-    def __init__(self, columns, kinds, roles: RoleMap | None = None,
-                 oracle=()):
+    def __init__(self, columns, roles: RoleMap, oracle=()):
         cols: dict[str, np.ndarray] = {}
         n_rows = None
         for name, values in columns.items():
@@ -106,43 +101,27 @@ class Dataset:
             cols[name] = arr
         self._columns = cols
         self._n_rows = 0 if n_rows is None else int(n_rows)
-        self._kinds = dict(kinds)
         self._oracle = frozenset(oracle)
         self.roles = roles
         self._validate()
 
     def _validate(self):
-        for name in self._columns:
-            if name not in self._kinds:
-                raise DataError(f"column {name!r} has no declared kind")
-            kind = self._kinds[name]
-            if kind not in COLUMN_KINDS:
-                raise DataError(f"column {name!r} has unknown kind {kind!r}")
-            arr = self._columns[name]
-            has_nan = bool(np.isnan(arr).any())
-            if kind == BINARY:
-                if has_nan or not np.isin(arr, (0.0, 1.0)).all():
-                    raise DataError(f"binary column {name!r} contains values "
-                                    "other than 0 and 1")
-            elif kind == CONTINUOUS and has_nan:
-                raise DataError(f"continuous column {name!r} contains missing "
-                                "values; only the outcome may be missing")
-        for name in self._kinds:
-            if name not in self._columns:
-                raise DataError(f"kind declared for unknown column {name!r}")
-        if self.roles is not None:
-            self._validate_roles(self.roles)
-
-    def _validate_roles(self, roles: RoleMap):
+        roles = self.roles
         for name in roles.all_names():
             if name not in self._columns:
                 raise DataError(f"role references unknown column {name!r}")
             if name in self._oracle:
                 raise DataError(
                     f"oracle-only column {name!r} may not be used in a role")
+        for name, arr in self._columns.items():
+            if name != roles.outcome and np.isnan(arr).any():
+                raise DataError(f"column {name!r} contains missing values; "
+                                f"only the outcome column {roles.outcome!r} "
+                                "may")
         for name in (roles.treatment, roles.response):
-            if self._kinds[name] != BINARY:
-                raise DataError(f"column {name!r} must be binary for its role")
+            if not np.isin(self._columns[name], (0.0, 1.0)).all():
+                raise DataError(f"binary column {name!r} contains values "
+                                "other than 0 and 1")
         outcome = self._columns[roles.outcome]
         response = self._columns[roles.response]
         mismatch = np.isnan(outcome) != (response == 0.0)
@@ -165,43 +144,26 @@ class Dataset:
     def oracle_names(self) -> frozenset[str]:
         return self._oracle
 
-    def kind(self, name: str) -> str:
-        return self._kinds[name]
-
     def column(self, name: str) -> np.ndarray:
         try:
             return self._columns[name]
         except KeyError:
             raise DataError(f"unknown column {name!r}") from None
 
-    def with_roles(self, roles: RoleMap) -> "Dataset":
-        return Dataset(self._columns, self._kinds, roles, self._oracle)
-
     def take(self, mask_or_index) -> "Dataset":
-        """Row subset preserving kinds, roles, and oracle flags."""
+        """Row subset preserving roles and oracle flags."""
         cols = {n: a[mask_or_index] for n, a in self._columns.items()}
-        return Dataset(cols, self._kinds, self.roles, self._oracle)
+        return Dataset(cols, self.roles, self._oracle)
 
     def equals(self, other: "Dataset") -> bool:
-        if self.names != other.names or self._kinds != other._kinds:
+        if self.names != other.names:
             return False
         return all(np.array_equal(self._columns[n], other._columns[n],
                                   equal_nan=True) for n in self.names)
 
 
-def _infer_kind(name: str, values: np.ndarray, roles: RoleMap) -> str:
-    if name == roles.outcome:
-        return OPTIONAL
-    if name in (roles.treatment, roles.response):
-        return BINARY
-    finite = values[~np.isnan(values)]
-    if finite.size and np.isin(finite, (0.0, 1.0)).all():
-        return BINARY
-    return CONTINUOUS
-
-
-def _parse_cell(text: str, column: str, row: int, missing_token: str) -> float:
-    if text == missing_token or text in MISSING_TOKENS:
+def _parse_cell(text: str, column: str, row: int) -> float:
+    if text in MISSING_TOKENS:
         return math.nan
     try:
         return float(text)
@@ -211,13 +173,13 @@ def _parse_cell(text: str, column: str, row: int, missing_token: str) -> float:
         ) from None
 
 
-def load_csv(path, roles: RoleMap, missing_token: str = "") -> Dataset:
+def load_csv(path, roles: RoleMap) -> Dataset:
     """Read a comma-separated file with a header row into a Dataset.
 
-    Outcome cells equal to ``missing_token`` (or any default missing token)
-    become missing. If the response column is absent from the file it is
-    derived as ``1 - missing(outcome)``; if present, it must agree with the
-    outcome's missingness pattern.
+    Cells equal to one of ``MISSING_TOKENS`` become missing; only the
+    outcome may hold them. If the response column is absent from the file
+    it is derived as ``1 - missing(outcome)``; if present, it must agree
+    with the outcome's missingness pattern.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -243,47 +205,35 @@ def load_csv(path, roles: RoleMap, missing_token: str = "") -> Dataset:
             raise DataError(f"row {i} of {path} has {len(row)} fields, "
                             f"expected {len(header)}")
         for name, text in zip(header, row):
-            raw[name][i] = _parse_cell(text, name, i, missing_token)
-
-    for name, values in raw.items():
-        if name != roles.outcome and np.isnan(values).any():
-            raise DataError(f"column {name!r} contains missing values; only "
-                            f"the outcome column {roles.outcome!r} may")
+            raw[name][i] = _parse_cell(text, name, i)
 
     if derive_response:
         raw[roles.response] = (~np.isnan(raw[roles.outcome])).astype(float)
-
-    kinds = {name: _infer_kind(name, values, roles)
-             for name, values in raw.items()}
-    return Dataset(raw, kinds, roles)
+    return Dataset(raw, roles)
 
 
-def _format_cell(value: float, kind: str) -> str:
+def _format_cell(value: float) -> str:
     value = float(value)
     if math.isnan(value):
         return ""
-    if kind == BINARY:
-        return str(int(value))
     if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)   # shortest exact round-trip representation
 
 
-def write_csv(ds: Dataset, path, oracle_path=None) -> None:
+def write_csv(ds: Dataset, path) -> None:
     """Write a Dataset as CSV; missing cells become empty fields.
 
     Floats are written with ``repr`` so a write/read round trip reproduces
     values exactly. Oracle columns go to a sibling ``<stem>.oracle.csv``
-    file (or ``oracle_path``) instead of the main file.
+    file instead of the main file.
     """
     path = Path(path)
     main = [n for n in ds.names if n not in ds.oracle_names]
     oracle = [n for n in ds.names if n in ds.oracle_names]
     _write_columns(ds, main, path)
     if oracle:
-        if oracle_path is None:
-            oracle_path = path.with_name(path.stem + ".oracle.csv")
-        _write_columns(ds, oracle, Path(oracle_path))
+        _write_columns(ds, oracle, path.with_name(path.stem + ".oracle.csv"))
 
 
 def _write_columns(ds: Dataset, names, path: Path) -> None:
@@ -291,28 +241,16 @@ def _write_columns(ds: Dataset, names, path: Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         columns = [ds.column(n) for n in names]
-        kinds = [ds.kind(n) for n in names]
         for i in range(ds.n_rows):
-            writer.writerow([_format_cell(col[i], kind)
-                             for col, kind in zip(columns, kinds)])
+            writer.writerow([_format_cell(col[i]) for col in columns])
 
 
 def subset_observed(ds: Dataset) -> Dataset:
-    """Rows with response == 1; the outcome column becomes fully observed.
+    """Rows with response == 1, where the outcome is fully observed.
 
-    Idempotent. The outcome is re-typed binary when its observed values are
-    all 0/1, continuous otherwise. An empty result is permitted but flagged
-    with a warning.
+    Idempotent. An empty result is permitted but flagged with a warning.
     """
-    if ds.roles is None:
-        raise DataError("subset_observed requires roles to be assigned")
     mask = ds.column(ds.roles.response) == 1.0
     if not mask.any():
         warnings.warn("no rows with response == 1", stacklevel=2)
-    cols = {n: ds.column(n)[mask] for n in ds.names}
-    kinds = {n: ds.kind(n) for n in ds.names}
-    outcome = cols[ds.roles.outcome]
-    kinds[ds.roles.outcome] = (
-        BINARY if outcome.size and np.isin(outcome, (0.0, 1.0)).all()
-        else CONTINUOUS)
-    return Dataset(cols, kinds, ds.roles, ds.oracle_names)
+    return ds.take(mask)

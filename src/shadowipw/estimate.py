@@ -3,12 +3,13 @@
 The main estimator weights each observed-outcome row by the inverse of the
 product of the response propensity p(R=1 | y, z) and the treatment-arm
 probability p(A=a | z), both clipped away from 0 and 1, and averages over
-all rows (rows with a missing outcome contribute zero). ``fit_and_weight``
-runs the whole estimator: it solves the response propensity, fits the
-treatment propensity and weights. Two deliberately biased baselines are
-provided for comparison experiments: complete-case IPW that ignores the
-missingness mechanism, and ``fit_and_weight`` on a deliberately
-insufficient adjustment set.
+all rows (rows with a missing outcome contribute zero). On fully observed
+data the response model is degenerate, p = 1 exactly, and is not clipped.
+``fit_and_weight`` runs the whole estimator: it solves the response
+propensity, fits the treatment propensity and weights. Two deliberately
+biased baselines are provided for comparison experiments: complete-case
+IPW that ignores the missingness mechanism, and ``fit_and_weight`` on a
+deliberately insufficient adjustment set.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
 
     p_r = or_propensity(np.nan_to_num(y[obs]), Zm[obs], shadow)
     p_r = np.atleast_1d(p_r)
-    p_r_clipped = clip(p_r, lo, hi)
+    p_r_clipped = p_r if shadow.degenerate else clip(p_r, lo, hi)
     means, n_clipped = _arm_means(treat.predict_proba(X)[obs], a[obs], y[obs],
                                   p_r_clipped, lo, hi, n)
     n_clipped += int(np.sum(p_r != p_r_clipped))

@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimate, shadow
 from .search import FOUND, GraphOracleTester, find_adjustment_set
 from .simulate import (SCENARIO_ADD_A_TO_RY, SCENARIO_BASE, SCENARIO_HIDE_W4,
-                       DgpConfig, default_config, generate, scenario_graph,
-                       true_ace)
+                       default_config, generate, scenario_graph, true_ace)
 
 CORRECT_SET = ("W2", "W3", "W4")
 _NEGATIVE_SEED_STRIDE = 1_000_003  # keeps positive/negative streams disjoint
@@ -87,8 +86,8 @@ def _run_search(config, alpha, oracle):
 
 
 def _positive_trial(args):
-    n, alpha, seed, base_config, oracle = args
-    config = replace(base_config, n=n, seed=seed, scenario=SCENARIO_BASE)
+    n, alpha, seed, oracle = args
+    config = default_config(n=n, seed=seed, scenario=SCENARIO_BASE)
     outcome = _run_search(config, alpha, oracle)
     correct = (outcome.status == FOUND
                and tuple(sorted(outcome.adjustment_set)) == CORRECT_SET)
@@ -96,10 +95,10 @@ def _positive_trial(args):
 
 
 def _negative_trial(args):
-    n, alpha, seed, base_config, oracle = args
+    n, alpha, seed, oracle = args
     coin = np.random.Generator(np.random.Philox(key=seed % (1 << 64))).uniform()
     scenario = SCENARIO_ADD_A_TO_RY if coin < 0.5 else SCENARIO_HIDE_W4
-    config = replace(base_config, n=n, seed=seed, scenario=scenario)
+    config = default_config(n=n, seed=seed, scenario=scenario)
     outcome = _run_search(config, alpha, oracle)
     correct = outcome.status != FOUND
     return (n, "negative", seed, scenario, outcome.status, correct)
@@ -114,7 +113,6 @@ def _run_jobs(fn, jobs_args, jobs: int):
 
 def run_search_experiment(sample_sizes, trials: int, alpha: float,
                           seed: int = 0, jobs: int = 1,
-                          base_config: DgpConfig | None = None,
                           oracle: bool = False) -> SearchExperimentReport:
     """Confusion counts of the adjustment-set search over simulated trials.
 
@@ -127,15 +125,13 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    base_config = base_config or default_config()
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
         block = 2 * trials * idx
-        pos_args = [(n, alpha, seed + block + t, base_config, oracle)
+        pos_args = [(n, alpha, seed + block + t, oracle)
                     for t in range(trials)]
-        neg_args = [(n, alpha,
-                     seed + _NEGATIVE_SEED_STRIDE + block + t, base_config,
+        neg_args = [(n, alpha, seed + _NEGATIVE_SEED_STRIDE + block + t,
                      oracle)
                     for t in range(trials)]
         pos = _run_jobs(_positive_trial, pos_args, jobs)
@@ -205,8 +201,8 @@ class EstimationExperimentReport:
 
 
 def _estimation_trial(args):
-    n, alpha, seed, methods, h_mode, base_config = args
-    config = replace(base_config, n=n, seed=seed, scenario=SCENARIO_BASE)
+    n, alpha, seed, methods, h_mode = args
+    config = default_config(n=n, seed=seed, scenario=SCENARIO_BASE)
     ds = generate(config)
     results = {}
     for method in methods:
@@ -222,18 +218,15 @@ def _estimation_trial(args):
         elif method == estimate.METHOD_IGNORE_MISSINGNESS:
             results[method] = estimate.baseline_ignore_missingness(
                 ds, CORRECT_SET).ace
-        elif method == estimate.METHOD_WRONG_ADJUSTMENT:
+        else:   # METHOD_WRONG_ADJUSTMENT: the caller admits only ALL_METHODS
             results[method] = estimate.baseline_wrong_adjustment(
                 ds, h_mode=h_mode).ace
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return seed, results
 
 
 def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
                               methods=ALL_METHODS, seed: int = 0,
                               jobs: int = 1, h_mode: str = shadow.H_MODE_A_MEAN,
-                              base_config: DgpConfig | None = None,
                               n_oracle: int = 1_000_000
                               ) -> EstimationExperimentReport:
     """ACE estimates per (sample size, method) across simulated trials.
@@ -248,13 +241,12 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    base_config = base_config or default_config()
-    truth = true_ace(base_config, n_oracle)
+    truth = true_ace(default_config(), n_oracle)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
-        args = [(n, alpha, seed + trials * idx + t, methods, h_mode,
-                 base_config) for t in range(trials)]
+        args = [(n, alpha, seed + trials * idx + t, methods, h_mode)
+                for t in range(trials)]
         outputs = _run_jobs(_estimation_trial, args, jobs)
         for method in methods:
             estimates = []

@@ -18,6 +18,8 @@ from scipy.special import expit, gammaincc
 
 # L2 coefficient norm beyond which a logistic fit is treated as separated
 SEPARATION_NORM = 30.0
+MAX_ITER = 50    # IRLS iterations
+TOL = 1e-8       # converged when the score max-norm is below this
 
 
 class GlmError(ValueError):
@@ -75,7 +77,7 @@ def _linear_predictor(beta, Xt):
     return np.clip(beta @ Xt, -500.0, 500.0)
 
 
-def _fit_logistic(y, Xt, max_iter, tol, start):
+def _fit_logistic(y, Xt, start):
     # Xt is the design transposed (p x n, C-contiguous): one row per
     # coefficient, so every product below runs over contiguous rows
     p = Xt.shape[0]
@@ -88,12 +90,12 @@ def _fit_logistic(y, Xt, max_iter, tol, start):
     separated = y.min() == y.max()
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         mu = 1.0 / (1.0 + np.exp(-eta))
         score = Xt @ (y - mu)
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum
-        if iterations > 1 and np.max(np.abs(score)) < tol:
+        if iterations > 1 and np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
@@ -142,12 +144,11 @@ def _fit_logistic(y, Xt, max_iter, tol, start):
                   bool(separated), rank_deficient)
 
 
-def fit_glm(y, X, max_iter: int = 50, tol: float = 1e-8,
-            start=None) -> GlmFit:
+def fit_glm(y, X, start=None) -> GlmFit:
     """Logistic fit of a 0/1 response y on the design matrix X (intercept
     column included by caller).
 
-    The fit runs IRLS until the score max-norm drops below ``tol``.
+    The fit runs IRLS until the score max-norm drops below ``TOL``.
     Each iteration evaluates the log-likelihood once, at the candidate
     step, and carries it forward. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
@@ -183,9 +184,9 @@ def fit_glm(y, X, max_iter: int = 50, tol: float = 1e-8,
         raise GlmError("logistic regression requires a 0/1 response")
     # free when X is column-major, as design_matrix builds it
     Xt = np.ascontiguousarray(X.T)
-    fit = _fit_logistic(y, Xt, max_iter, tol, start)
+    fit = _fit_logistic(y, Xt, start)
     if start is not None and not fit.converged:
-        fit = _fit_logistic(y, Xt, max_iter, tol, None)
+        fit = _fit_logistic(y, Xt, None)
     return fit
 
 

@@ -133,8 +133,6 @@ def find_adjustment_set(ds: Dataset, alpha: float,
     candidate that raised it; the error is recorded in the trail.
     """
     roles = ds.roles
-    if roles is None:
-        raise ValueError("dataset has no roles assigned")
     if len(roles.covariates) < 2:
         raise ValueError("search needs at least two covariates "
                          "(a witness plus candidates)")

@@ -5,15 +5,20 @@ The response propensity is parameterized as
     p(R=1 | y, z) = pi0(z) / (pi0(z) + eta(y) * (1 - pi0(z)))
 
 with a baseline pi0(z) = expit(beta . z) at the outcome reference value
-y_ref, and an odds-ratio term eta(y) = exp(gamma * (y - y_ref)) so that
-eta(y_ref) = 1. The k+1 parameters (beta, gamma) are the root of k+1
+Y_REF, and an odds-ratio term eta(y) = exp(gamma * (y - Y_REF)) so that
+eta(Y_REF) = 1. The k+1 parameters (beta, gamma) are the root of k+1
 mean-zero moment conditions
 
     mean over rows of (R / p(R=1 | y, z) - 1) * h_j,
 
 where h_j = z_j for j = 1..k, and the last h is either the sample mean of
 the treatment (mode "a_mean") or the per-row treatment (mode "a_row").
-Rows with R = 0 contribute -h_j, so only observed outcomes are used.
+Rows with R = 0 contribute -h_j, so only observed outcomes are used. The
+treatment is the shadow variable: it enters the last equation only.
+
+The root is found by damped Newton from zero. A solve that stalls short of
+the tolerance returns its last accepted iterate, flagged as not converged,
+so a caller sees the degenerate solve rather than a number.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import expit
 
 from .data import Dataset
@@ -34,6 +38,10 @@ H_MODES = (H_MODE_A_MEAN, H_MODE_A_ROW)
 _SAT = 500.0  # saturation bound for expit/exp arguments
 _P_MIN = np.finfo(float).tiny
 _P_MAX = 1.0 - np.finfo(float).epsneg
+
+Y_REF = 0.0      # outcome reference value: eta(Y_REF) = 1
+TOL = 1e-8       # converged when the residual max-norm is below this
+MAX_ITER = 100   # Newton iterations
 
 
 class ShadowError(ValueError):
@@ -50,7 +58,7 @@ class ShadowPropensityModel:
     converged: bool
     iterations: int
     degenerate: bool = False   # no-missingness data: propensity is 1
-    used_fallback: bool = False
+    used_fallback: bool = False   # Newton stalled short of TOL
 
     def to_dict(self) -> dict:
         return {
@@ -68,7 +76,7 @@ class ShadowPropensityModel:
     @classmethod
     def trivial(cls, adjustment) -> "ShadowPropensityModel":
         adjustment = tuple(adjustment)
-        return cls(beta=np.zeros(len(adjustment)), gamma=0.0, y_ref=0.0,
+        return cls(beta=np.zeros(len(adjustment)), gamma=0.0, y_ref=Y_REF,
                    adjustment=adjustment, residual_norm=0.0, converged=True,
                    iterations=0, degenerate=True)
 
@@ -134,8 +142,6 @@ def _design(ds: Dataset, model_adjustment):
 
 def _moment_pieces(ds: Dataset, adjustment, h_mode):
     roles = ds.roles
-    if roles is None:
-        raise ShadowError("dataset has no roles assigned")
     for z in adjustment:
         if z not in roles.covariates:
             raise ShadowError(f"adjustment column {z!r} is not a covariate")
@@ -153,21 +159,22 @@ def _moment_pieces(ds: Dataset, adjustment, h_mode):
     return r, y, Z, H
 
 
-def _residuals(theta, r, y, Z, H):
+def _fitted_p(theta, y, Z):
     k = Z.shape[1]
     beta, gamma = theta[:k], theta[k]
     # logistic form of the factorization: p = expit(beta.z - gamma*(y - y_ref))
     u = np.clip(Z @ beta - gamma * y, -_SAT, _SAT)
-    p = np.clip(expit(u), _P_MIN, _P_MAX)
+    return np.clip(expit(u), _P_MIN, _P_MAX)
+
+
+def _residuals(theta, r, y, Z, H):
+    p = _fitted_p(theta, y, Z)
     w = np.where(r == 1.0, 1.0 / p - 1.0, -1.0)
     return H.T @ w / r.size
 
 
 def _jacobian(theta, r, y, Z, H):
-    k = Z.shape[1]
-    beta, gamma = theta[:k], theta[k]
-    u = np.clip(Z @ beta - gamma * y, -_SAT, _SAT)
-    p = np.clip(expit(u), _P_MIN, _P_MAX)
+    p = _fitted_p(theta, y, Z)
     # d(1/p)/d(theta) = -(1-p)/p * du/d(theta); rows with r == 0 are constant
     c = np.where(r == 1.0, -(1.0 - p) / p, 0.0)
     dU = np.column_stack([Z, -y])
@@ -186,23 +193,22 @@ def moment_residuals(ds: Dataset, model: ShadowPropensityModel,
     return _residuals(theta, r, y - model.y_ref, Z, H)
 
 
-def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN,
-                     init=None, tol: float = 1e-8,
-                     max_iter: int = 100, y_ref: float = 0.0
+def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
                      ) -> ShadowPropensityModel:
     """Solve the estimating equations for (beta, gamma) by damped Newton.
 
-    Newton steps use the analytic Jacobian with step-halving on the residual
-    L2 norm; convergence is declared when the residual max-norm drops below
-    ``tol``. If Newton stalls, a derivative-free minimization of the squared
-    residual norm takes over and the fallback is reported on the model.
+    Newton starts at zero and uses the analytic Jacobian with step-halving
+    on the residual L2 norm; convergence is declared when the residual
+    max-norm drops below ``TOL``. When no halved step lowers the norm, or
+    the Jacobian is singular, Newton has stalled: the last accepted
+    iterate is returned with ``converged=False`` and ``used_fallback=True``.
 
     An empty adjustment set is the gamma-only limit: the baseline is the
     constant one half and the single moment condition pins gamma.
     """
     adjustment = tuple(Z)
     r, y, Zm, H = _moment_pieces(ds, adjustment, h_mode)
-    y = y - y_ref
+    y = y - Y_REF
     k = Zm.shape[1]
     if (r == 1.0).all():
         warnings.warn("all outcomes observed; returning the trivial "
@@ -211,16 +217,12 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN,
     if (r == 0.0).all():
         raise ShadowError("no observed outcomes; propensity is not estimable")
 
-    theta = (np.zeros(k + 1) if init is None
-             else np.asarray(init, dtype=float).copy())
-    if theta.size != k + 1:
-        raise ShadowError(f"init has {theta.size} entries, expected {k + 1}")
-
+    theta = np.zeros(k + 1)
     res = _residuals(theta, r, y, Zm, H)
     iterations = 0
     stalled = False
-    for iterations in range(1, max_iter + 1):
-        if np.max(np.abs(res)) < tol:
+    for iterations in range(1, MAX_ITER + 1):
+        if np.max(np.abs(res)) < TOL:
             iterations -= 1
             break
         try:
@@ -229,36 +231,20 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN,
             stalled = True
             break
         norm0 = np.linalg.norm(res)
-        accepted = False
         for _ in range(21):
             cand = theta + step
             cand_res = _residuals(cand, r, y, Zm, H)
             if np.linalg.norm(cand_res) < norm0:
                 theta, res = cand, cand_res
-                accepted = True
                 break
             step = step / 2.0
-        if not accepted:
+        else:
             stalled = True
             break
 
-    used_fallback = False
-    if np.max(np.abs(res)) >= tol and stalled:
-        used_fallback = True
-
-        def objective(th):
-            return float(np.sum(_residuals(th, r, y, Zm, H) ** 2))
-
-        sol = optimize.minimize(objective, theta, method="Nelder-Mead",
-                                options={"maxiter": 5000, "fatol": tol ** 2 * 1e-4,
-                                         "xatol": 1e-12})
-        cand_res = _residuals(sol.x, r, y, Zm, H)
-        if np.linalg.norm(cand_res) < np.linalg.norm(res):
-            theta, res = sol.x, cand_res
-
     residual_norm = float(np.max(np.abs(res)))
     return ShadowPropensityModel(
-        beta=theta[:k], gamma=float(theta[k]), y_ref=y_ref,
+        beta=theta[:k], gamma=float(theta[k]), y_ref=Y_REF,
         adjustment=adjustment, residual_norm=residual_norm,
-        converged=residual_norm < tol, iterations=iterations,
-        used_fallback=used_fallback)
+        converged=residual_norm < TOL, iterations=iterations,
+        used_fallback=stalled)   # a stall leaves the residual at >= TOL

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from .data import Dataset, RoleMap
 from .graphs import Dag
 
 SCENARIO_BASE = "base"
@@ -132,14 +132,10 @@ def generate(config: DgpConfig) -> Dataset:
                "I": incentive, "A": a, "Y": y_observed, "R": r,
                ORACLE_COMPLETE: y_complete, ORACLE_ARM1: y_arm1,
                ORACLE_ARM0: y_arm0}
-    kinds = {"W1": CONTINUOUS, "W2": CONTINUOUS, "W3": CONTINUOUS,
-             "W4": CONTINUOUS, "I": CONTINUOUS, "A": BINARY, "Y": OPTIONAL,
-             "R": BINARY, ORACLE_COMPLETE: BINARY, ORACLE_ARM1: BINARY,
-             ORACLE_ARM0: BINARY}
     if config.scenario == SCENARIO_HIDE_W4:
-        del columns["W4"], kinds["W4"]
+        del columns["W4"]
     oracle = (ORACLE_COMPLETE, ORACLE_ARM1, ORACLE_ARM0)
-    return Dataset(columns, kinds, roles_for(config), oracle)
+    return Dataset(columns, roles_for(config), oracle)
 
 
 @lru_cache(maxsize=32)
@@ -209,6 +205,4 @@ def generate_example(n: int, seed: int) -> Dataset:
          expit(c["r_w1"] * w1 + c["r_i"] * incentive + c["r_y"] * y)).astype(float)
     columns = {"W1": w1, "W2": w2, "W3": w3, "I": incentive, "A": a,
                "Y": np.where(r == 1.0, y, np.nan), "R": r}
-    kinds = {"W1": CONTINUOUS, "W2": CONTINUOUS, "W3": CONTINUOUS,
-             "I": CONTINUOUS, "A": BINARY, "Y": OPTIONAL, "R": BINARY}
-    return Dataset(columns, kinds, example_roles())
+    return Dataset(columns, example_roles())

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.simulate import default_config, generate
 
 
@@ -32,7 +32,5 @@ def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.
     columns = {"A": np.asarray(a, float), "Y": y, "R": r,
                "I": np.asarray(i, float),
                "W1": w[:, 0], "W2": w[:, 1]}
-    kinds = {"A": BINARY, "Y": OPTIONAL, "R": BINARY, "I": CONTINUOUS,
-             "W1": CONTINUOUS, "W2": CONTINUOUS}
     roles = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
-    return Dataset(columns, kinds, roles)
+    return Dataset(columns, roles)

@@ -18,7 +18,7 @@ from scipy.stats import binom
 
 from shadowipw import citest
 from shadowipw.cli import main as cli_main
-from shadowipw.data import (BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap)
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.estimate import (METHOD_FULL, METHOD_IGNORE_MISSINGNESS,
                                 METHOD_ORACLE_SEARCH, METHOD_WRONG_ADJUSTMENT)
 from shadowipw.experiments import (run_estimation_experiment,
@@ -211,16 +211,7 @@ class TestCriterion7Calibration:
 
     @staticmethod
     def _dataset(columns, covariates):
-        kinds = {}
-        for name, col in columns.items():
-            if name == "Y":
-                kinds[name] = OPTIONAL
-            elif name in ("A", "R"):
-                kinds[name] = BINARY
-            else:
-                kinds[name] = CONTINUOUS
-        return Dataset(columns, kinds,
-                       RoleMap("A", "Y", "R", "I", covariates))
+        return Dataset(columns, RoleMap("A", "Y", "R", "I", covariates))
 
     _SEEDS = {"C1": 101, "C2": 202, "C3": 303, "C4": 404}
 

@@ -5,8 +5,7 @@ from scipy.stats import binom
 
 from shadowipw import citest
 from shadowipw.citest import DegenerateDataError
-from shadowipw.data import (BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap,
-                            subset_observed)
+from shadowipw.data import Dataset, RoleMap, subset_observed
 from shadowipw.simulate import default_config, generate, generate_example
 
 ALPHA = 0.05
@@ -19,8 +18,7 @@ def _replace_column(ds, name, values):
 
 def _replace_columns(ds, replacements):
     cols = {n: replacements.get(n, ds.column(n)) for n in ds.names}
-    kinds = {n: ds.kind(n) for n in ds.names}
-    return Dataset(cols, kinds, ds.roles, ds.oracle_names)
+    return Dataset(cols, ds.roles, ds.oracle_names)
 
 
 class TestC1:
@@ -47,8 +45,6 @@ class TestC1:
             ds = Dataset({"A": (rng.uniform(size=n) < 0.5).astype(float),
                           "Y": y, "R": r, "I": i,
                           "W1": rng.normal(size=n), "W2": rng.normal(size=n)},
-                         {"A": BINARY, "Y": OPTIONAL, "R": BINARY,
-                          "I": CONTINUOUS, "W1": CONTINUOUS, "W2": CONTINUOUS},
                          RoleMap("A", "Y", "R", "I", ("W1", "W2")))
             rejected += not citest.test_c1(ds, ALPHA).result.independent
         assert binom.ppf(0.005, reps, ALPHA) <= rejected <= \
@@ -80,6 +76,7 @@ class TestC2:
         extra = 500
         rng = np.random.default_rng(1)
         cols = {}
+        continuous = (*ds.roles.covariates, ds.roles.incentive)
         for name in ds.names:
             col = ds.column(name)
             if name == "R":
@@ -87,11 +84,10 @@ class TestC2:
             elif name == "Y":
                 pad = np.full(extra, np.nan)
             else:
-                pad = rng.normal(size=extra) if ds.kind(name) == CONTINUOUS \
+                pad = rng.normal(size=extra) if name in continuous \
                     else (rng.uniform(size=extra) < 0.5).astype(float)
             cols[name] = np.concatenate([col, pad])
-        grown = Dataset(cols, {n: ds.kind(n) for n in ds.names}, ds.roles,
-                        ds.oracle_names)
+        grown = Dataset(cols, ds.roles, ds.oracle_names)
         regrown = citest.test_c2(grown, Z_FULL, ALPHA)
         assert regrown.result.p_value == baseline.result.p_value
         assert regrown.result.statistic == baseline.result.statistic

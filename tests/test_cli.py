@@ -93,8 +93,7 @@ class TestSearchCommand:
         cols = {n: ds.column(n) for n in ds.names}
         cols["I"] = rng.normal(size=ds.n_rows)
         from shadowipw.data import Dataset
-        noisy = Dataset(cols, {n: ds.kind(n) for n in ds.names}, ds.roles,
-                        ds.oracle_names)
+        noisy = Dataset(cols, ds.roles, ds.oracle_names)
         path = tmp_path / "noisy.csv"
         write_csv(noisy, path)
         result = runner.invoke(main, ["search", str(path), *ROLE_FLAGS])
@@ -214,9 +213,10 @@ class TestExperimentCommands:
 
 
 class TestArgumentChecks:
-    """Every command that takes a test level rejects one outside (0, 1)
-    before doing any work, and a trial count below 1 ends in an error
-    message rather than a traceback."""
+    """Every command rejects a test level outside (0, 1), clip bounds
+    outside 0 < lo < hi < 1, a negative or fractional subset size and an
+    unknown h mode before doing any work, and a trial count below 1 ends
+    in an error message rather than a traceback."""
 
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
@@ -260,3 +260,45 @@ class TestArgumentChecks:
         assert isinstance(result.exception, SystemExit)
         assert "trials must be >= 1" in result.output
         assert not out_dir.exists()
+
+    # the file below lacks every role column, so a setting that is checked
+    # before the data are read is the only error these commands can report
+    @pytest.mark.parametrize("command,args,message", [
+        ("pipeline", ["--clip-lo", "0.9", "--clip-hi", "0.1"], "clip bounds"),
+        ("estimate", ["--clip-lo", "0"], "clip bounds"),
+        ("estimate", ["--clip-hi", "1"], "clip bounds"),
+        ("search", ["--max-subset-size", "-1"], "max_subset_size"),
+        ("pipeline", ["--max-subset-size", "-1"], "max_subset_size"),
+    ])
+    def test_settings_checked_before_data_are_read(self, tmp_path, runner,
+                                                   command, args, message):
+        csv = tmp_path / "t.csv"
+        csv.write_text("x\n1\n")
+        out = tmp_path / "report.json"
+        if command == "estimate":
+            args = [*args, "--adjustment", "W2,W3"]
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS, *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,setting,message", [
+        ("estimate", {"clip_lo": "0.01"}, "clip bounds"),
+        ("pipeline", {"clip_hi": 0.005}, "clip bounds"),
+        ("search", {"max_subset_size": 1.5}, "max_subset_size"),
+        ("pipeline", {"max_subset_size": True}, "max_subset_size"),
+        ("estimate", {"h_mode": "a_median"}, "h_mode"),
+        ("pipeline", {"h_mode": "a_median"}, "h_mode"),
+    ])
+    def test_config_file_settings_checked(self, tmp_path, runner, command,
+                                          setting, message):
+        csv = tmp_path / "t.csv"
+        csv.write_text("x\n1\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        extra = ["--adjustment", "W2,W3"] if command == "estimate" else []
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS, *extra,
+                                      "--config", str(config)])
+        assert result.exit_code == 1
+        assert message in result.output

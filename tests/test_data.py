@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shadowipw.data import (BINARY, CONTINUOUS, OPTIONAL, DataError, Dataset,
-                            RoleMap, load_csv, subset_observed, write_csv)
+from shadowipw.data import (DataError, Dataset, RoleMap, load_csv,
+                            subset_observed, write_csv)
 from shadowipw.simulate import default_config, generate
 
 from conftest import toy_dataset
@@ -72,19 +72,48 @@ class TestLoadCsv:
         assert first.read_bytes() == second.read_bytes()
 
 
+def toy_columns(**replacements):
+    ds = toy_dataset()
+    cols = {n: ds.column(n) for n in ds.names}
+    cols.update(replacements)
+    return cols
+
+
 class TestDatasetValidation:
     def test_binary_column_validated_eagerly(self):
-        with pytest.raises(DataError, match="binary"):
-            Dataset({"A": [0.0, 2.0]}, {"A": BINARY})
+        for role in ("A", "R"):
+            # fully observed, so that only the 2.0 breaks a rule
+            replacements = {"Y": [1.0, 0.0, 0.0, 1.0], "R": [1.0] * 4}
+            replacements[role] = [1.0, 2.0, 1.0, 1.0]
+            with pytest.raises(DataError, match=f"binary column '{role}'"):
+                Dataset(toy_columns(**replacements), ROLES)
 
     def test_only_optional_columns_may_be_missing(self):
-        with pytest.raises(DataError, match="missing"):
-            Dataset({"X": [1.0, np.nan]}, {"X": CONTINUOUS})
+        for name in ("W1", "I", "R"):
+            cols = toy_columns(**{name: [1.0, np.nan, 0.0, 1.0]})
+            with pytest.raises(DataError, match=f"column '{name}' contains "
+                                                "missing values; only the "
+                                                "outcome column 'Y' may"):
+                Dataset(cols, ROLES)
+
+    def test_oracle_columns_may_not_be_missing(self):
+        cols = toy_columns(Y_complete=[1.0, np.nan, 0.0, 1.0])
+        with pytest.raises(DataError, match="'Y_complete' contains missing"):
+            Dataset(cols, ROLES, oracle=("Y_complete",))
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(DataError, match="rows"):
-            Dataset({"X": [1.0], "Y": [1.0, 2.0]},
-                    {"X": CONTINUOUS, "Y": CONTINUOUS})
+            Dataset(toy_columns(W1=[1.0, 2.0]), ROLES)
+
+    def test_role_column_must_exist(self):
+        cols = toy_columns()
+        del cols["W2"]
+        with pytest.raises(DataError, match="unknown column 'W2'"):
+            Dataset(cols, ROLES)
+
+    def test_other_columns_may_hold_any_number(self):
+        ds = Dataset(toy_columns(X=[0.5, 2.0, -3.0, 1.0]), ROLES)
+        assert ds.column("X")[1] == 2.0
 
     def test_columns_are_immutable(self):
         ds = toy_dataset()
@@ -99,7 +128,8 @@ class TestDatasetValidation:
         ds = generate(default_config(n=50, seed=1))
         bad = RoleMap("A", "Y", "R", "I", ("W1", "Y_complete"))
         with pytest.raises(DataError, match="oracle-only"):
-            ds.with_roles(bad)
+            Dataset({n: ds.column(n) for n in ds.names}, bad,
+                    ds.oracle_names)
 
 
 class TestSubsetObserved:
@@ -114,7 +144,6 @@ class TestSubsetObserved:
         sub = subset_observed(ds)
         assert sub.n_rows == 2
         assert np.array_equal(sub.column("W1"), ds.column("W1")[[0, 2]])
-        assert sub.kind("Y") == BINARY   # re-typed as fully observed
 
     def test_idempotent(self):
         ds = toy_dataset()

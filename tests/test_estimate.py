@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.estimate import (METHOD_IGNORE_MISSINGNESS,
                                 METHOD_WRONG_ADJUSTMENT,
                                 baseline_ignore_missingness,
@@ -48,9 +48,7 @@ def balanced_no_missingness_dataset(n=400, seed=0):
     y = rng.normal(1.0 + 0.5 * a, 1.0)
     columns = {"A": a, "Y": y, "R": np.ones(n), "I": rng.normal(size=n),
                "W1": rng.normal(size=n), "W2": rng.normal(size=n)}
-    kinds = {"A": BINARY, "Y": OPTIONAL, "R": BINARY, "I": CONTINUOUS,
-             "W1": CONTINUOUS, "W2": CONTINUOUS}
-    return Dataset(columns, kinds, RoleMap("A", "Y", "R", "I", ("W1", "W2")))
+    return Dataset(columns, RoleMap("A", "Y", "R", "I", ("W1", "W2")))
 
 
 class TestClip:
@@ -81,10 +79,7 @@ class TestTreatmentPropensity:
                    "Y": rng.normal(size=n), "R": np.ones(n),
                    "I": rng.normal(size=n), "W1": rng.normal(size=n),
                    "W2": rng.normal(size=n)}
-        kinds = {"A": BINARY, "Y": OPTIONAL, "R": BINARY, "I": CONTINUOUS,
-                 "W1": CONTINUOUS, "W2": CONTINUOUS}
-        ds = Dataset(columns, kinds, RoleMap("A", "Y", "R", "I",
-                                             ("W1", "W2")))
+        ds = Dataset(columns, RoleMap("A", "Y", "R", "I", ("W1", "W2")))
         fit = fit_treatment_propensity(ds, ("W1", "W2"))
         assert np.all(np.abs(fit.coefficients[1:]) < 0.05)
 
@@ -118,8 +113,7 @@ class TestTreatmentPropensity:
         ds = balanced_no_missingness_dataset()
         cols = {n: ds.column(n) for n in ds.names}
         cols["A"] = np.ones(ds.n_rows)
-        ds_all_treated = Dataset(cols, {n: ds.kind(n) for n in ds.names},
-                                 ds.roles)
+        ds_all_treated = Dataset(cols, ds.roles)
         fit = fit_treatment_propensity(ds_all_treated, ("W1",))
         assert fit.separated and not fit.converged
 
@@ -187,8 +181,7 @@ class TestIpwAce:
         est = ipw_ace(ds, ("W1", "W2"), model, treat)
         scaled_cols = {n: ds.column(n) for n in ds.names}
         scaled_cols["Y"] = 3.0 * ds.column("Y")
-        scaled = Dataset(scaled_cols, {n: ds.kind(n) for n in ds.names},
-                         ds.roles)
+        scaled = Dataset(scaled_cols, ds.roles)
         est3 = ipw_ace(scaled, ("W1", "W2"), model, treat)
         assert est3.ace == pytest.approx(3.0 * est.ace, rel=1e-12)
 
@@ -201,9 +194,7 @@ class TestIpwAce:
         r = (rng.uniform(size=n) < expit(0.5 + 0.2 * z)).astype(float)
         columns = {"A": a, "Y": np.where(r == 1.0, y_full, np.nan), "R": r,
                    "I": rng.normal(size=n), "Z1": z}
-        ds = Dataset(columns, {"A": BINARY, "Y": OPTIONAL, "R": BINARY,
-                               "I": CONTINUOUS, "Z1": CONTINUOUS},
-                     RoleMap("A", "Y", "R", "I", ("Z1",)))
+        ds = Dataset(columns, RoleMap("A", "Y", "R", "I", ("Z1",)))
         model = ShadowPropensityModel(beta=np.array([0.2]), gamma=-0.3,
                                       y_ref=0.0, adjustment=("Z1",),
                                       residual_norm=0.0, converged=True,
@@ -234,6 +225,26 @@ class TestIpwAce:
             avg = np.mean(means[arm])
             se = np.std(means[arm]) / np.sqrt(reps)
             assert abs(avg - truth) < 3.0 * se
+
+    def test_fully_observed_data_is_treatment_only_ipw(self):
+        # the degenerate response model's p = 1 enters unclipped
+        ds = generate(default_config(n=20000, seed=3))
+        cols = {n: ds.column(n) for n in ds.names}
+        cols["Y"], cols["R"] = cols["Y_complete"], np.ones(ds.n_rows)
+        full = Dataset(cols, ds.roles, ds.oracle_names)
+        with pytest.warns(UserWarning, match="all outcomes observed"):
+            model, treat, est = fit_and_weight(full, CORRECT_SET)
+        assert model.degenerate
+        X = design_matrix(full.n_rows, *(full.column(z) for z in CORRECT_SET))
+        p1 = treat.predict_proba(X)
+        a, y = full.column("A"), full.column("Y")
+        p_treated, p_control = clip(p1), clip(1.0 - p1)
+        expected = np.mean(a * y / p_treated) - \
+            np.mean((1.0 - a) * y / p_control)
+        assert est.ace == pytest.approx(expected, rel=1e-12)
+        n_clipped = np.sum((p_treated != p1) & (a == 1.0)) + \
+            np.sum((p_control != 1.0 - p1) & (a == 0.0))
+        assert est.clipped_fraction == n_clipped / (2 * full.n_rows)
 
     def test_mismatched_adjustment_rejected(self):
         ds = balanced_no_missingness_dataset()
@@ -291,7 +302,7 @@ class TestBaselines:
     def test_estimates_are_pinned(self):
         # seed 3, n=10^4: what the three estimators gave before they shared
         # fit_and_weight; folding the complete-case baseline into ipw_ace
-        # with a p = 1 response model would move it (p = 1 clips to 0.99)
+        # would move it, because it fits the treatment on respondents only
         ds = generate(default_config(n=10000, seed=3))
         estimates = (baseline_ignore_missingness(ds, CORRECT_SET),
                      baseline_wrong_adjustment(ds),

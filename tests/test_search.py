@@ -3,7 +3,7 @@ import pytest
 
 from shadowipw import citest
 from shadowipw.citest import C1, ConditionRecord
-from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.glm import CiTestResult
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
                               LrtTester, SearchOutcome, find_adjustment_set)
@@ -40,9 +40,7 @@ class TestLrtSearch:
         rng = np.random.default_rng(0)
         cols = {n: base_ds_small.column(n) for n in base_ds_small.names}
         cols["I"] = rng.normal(size=base_ds_small.n_rows)
-        ds = Dataset(cols, {n: base_ds_small.kind(n)
-                            for n in base_ds_small.names},
-                     base_ds_small.roles, base_ds_small.oracle_names)
+        ds = Dataset(cols, base_ds_small.roles, base_ds_small.oracle_names)
         outcome = find_adjustment_set(ds, ALPHA)
         assert outcome.status == C1_FAILED
         assert outcome.tests_run == 1
@@ -89,8 +87,6 @@ class TestLrtSearch:
         ds = Dataset({"A": (rng.uniform(size=n) < 0.5).astype(float),
                       "Y": y, "R": np.ones(n), "I": rng.normal(size=n),
                       "W1": rng.normal(size=n)},
-                     {"A": BINARY, "Y": OPTIONAL, "R": BINARY,
-                      "I": CONTINUOUS, "W1": CONTINUOUS},
                      RoleMap("A", "Y", "R", "I", ("W1",)))
         with pytest.raises(ValueError, match="two covariates"):
             find_adjustment_set(ds, ALPHA)
@@ -130,9 +126,7 @@ class TestPinnedVerdicts:
                 for name in base_ds_small.names}
         cols["R"] = np.zeros(n)
         cols["Y"] = np.full(n, np.nan)
-        ds = Dataset(cols, {name: base_ds_small.kind(name)
-                            for name in base_ds_small.names},
-                     base_ds_small.roles, base_ds_small.oracle_names)
+        ds = Dataset(cols, base_ds_small.roles, base_ds_small.oracle_names)
         slices = []
         original = citest.subset_observed
         monkeypatch.setattr(citest, "subset_observed",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw.data import BINARY, CONTINUOUS, OPTIONAL, Dataset, RoleMap
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               ShadowPropensityModel, ShadowError,
                               moment_residuals, or_blend, or_propensity,
@@ -34,12 +34,10 @@ def shadow_dataset(beta, gamma, n, seed, y_ref=0.0):
     r = (rng.uniform(size=n) < p_r).astype(float)
     columns = {"A": a, "Y": np.where(r == 1.0, y_full, np.nan), "R": r,
                "I": rng.normal(size=n)}
-    kinds = {"A": BINARY, "Y": OPTIONAL, "R": BINARY, "I": CONTINUOUS}
     for i in range(k):
         columns[f"Z{i+1}"] = z[:, i]
-        kinds[f"Z{i+1}"] = CONTINUOUS
     roles = RoleMap("A", "Y", "R", "I", tuple(f"Z{i+1}" for i in range(k)))
-    return Dataset(columns, kinds, roles), p_r
+    return Dataset(columns, roles), p_r
 
 
 class TestOrPropensity:
@@ -141,7 +139,7 @@ class TestMomentResiduals:
         cols = {n: ds.column(n) for n in ds.names}
         cols["R"] = np.ones(ds.n_rows)
         cols["Y"] = np.nan_to_num(cols["Y"])
-        full = Dataset(cols, {n: ds.kind(n) for n in ds.names}, ds.roles)
+        full = Dataset(cols, ds.roles)
         trivial = ShadowPropensityModel.trivial(("Z1", "Z2"))
         res = moment_residuals(full, trivial)
         assert res == pytest.approx(np.zeros(3), abs=1e-15)
@@ -203,7 +201,7 @@ class TestSolvePropensity:
         cols = {n: ds.column(n) for n in ds.names}
         cols["R"] = np.ones(ds.n_rows)
         cols["Y"] = np.nan_to_num(cols["Y"])
-        full = Dataset(cols, {n: ds.kind(n) for n in ds.names}, ds.roles)
+        full = Dataset(cols, ds.roles)
         with pytest.warns(UserWarning, match="observed"):
             fit = solve_propensity(full, ("Z1",))
         assert fit.degenerate
@@ -239,13 +237,25 @@ class TestSolvePropensity:
         ds = Dataset({"A": a, "Y": np.where(r == 1.0, y_full, np.nan),
                       "R": r, "I": rng.normal(size=n),
                       "Z1": rng.normal(size=n)},
-                     {"A": BINARY, "Y": OPTIONAL, "R": BINARY,
-                      "I": CONTINUOUS, "Z1": CONTINUOUS},
                      RoleMap("A", "Y", "R", "I", ("Z1",)))
         fit = solve_propensity(ds, (), H_MODE_A_ROW)
         assert fit.converged
         assert fit.beta.size == 0
         assert fit.gamma == pytest.approx(gamma, abs=0.1)
+
+    def test_stalled_newton_returns_its_last_iterate_flagged(self):
+        # with a direct A -> R edge the a_row equations have no root: gamma
+        # runs off towards -inf until no halved step lowers the residual
+        from shadowipw.simulate import default_config, generate
+        ds = generate(default_config(n=2000, seed=0, scenario="add_a_to_ry"))
+        Z = ("W1", "W2", "W3", "W4")
+        fit = solve_propensity(ds, Z, H_MODE_A_ROW)
+        assert not fit.converged and fit.used_fallback
+        res = moment_residuals(ds, fit, H_MODE_A_ROW)
+        assert fit.residual_norm == np.max(np.abs(res))
+        at_zero = moment_residuals(ds, model(np.zeros(4), 0.0, names=Z),
+                                   H_MODE_A_ROW)
+        assert fit.residual_norm <= np.max(np.abs(at_zero))
 
     def test_serializes_with_diagnostics(self):
         ds, _ = shadow_dataset([0.5], gamma=-1.0, n=3000, seed=3)
