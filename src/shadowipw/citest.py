@@ -20,7 +20,7 @@ required one at level alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,14 +68,8 @@ class ConditionRecord:
         return self.result.independent != wants_dependence
 
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "witness": self.witness,
-            "adjustment": list(self.adjustment),
-            "result": None if self.result is None else self.result.to_dict(),
-            "passed": self.passed,
-            "error": self.error,
-        }
+        return {**asdict(self), "adjustment": list(self.adjustment),
+                "passed": self.passed}
 
 
 def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,

@@ -3,9 +3,10 @@
 Subcommands: ``simulate``, ``search``, ``estimate``, ``pipeline``, and the
 ``experiment`` group (``search`` / ``estimate``). Reports are emitted as
 JSON with the fully resolved configuration and seed embedded, so any run
-can be reproduced exactly. Exit codes: 0 success, 3 the incentive/response
-gate failed, 4 no adjustment set found (2 is reserved by the argument
-parser for usage errors).
+can be reproduced exactly. Exit codes: 0 success, 1 an input, fit or solve
+error (the message names it), 3 the incentive/response gate failed, 4 no
+adjustment set found (2 is reserved by the argument parser for usage
+errors).
 
 Role columns are taken from a JSON config file (``--config``) and/or
 individual flags; flags override file values. The default seed can be set
@@ -21,8 +22,7 @@ from pathlib import Path
 import click
 
 from . import __version__, estimate, experiments, shadow
-from .data import DataError, RoleMap, load_csv, write_csv
-from .glm import GlmError
+from .data import RoleMap, load_csv, write_csv
 from .search import C1_FAILED, FOUND, NOT_FOUND, find_adjustment_set
 from .simulate import SCENARIOS, default_config, generate
 
@@ -113,10 +113,7 @@ def _resolve_roles(config: dict, treatment, outcome, response, incentive,
     if missing:
         raise click.ClickException(
             "missing role configuration: " + ", ".join(sorted(missing)))
-    try:
-        return RoleMap.from_dict(values)
-    except DataError as exc:
-        raise click.ClickException(str(exc)) from exc
+    return RoleMap.from_dict(values)
 
 
 _ROLE_OPTIONS = [
@@ -142,7 +139,19 @@ seed_option = click.option("--seed", type=int, default=None,
                            help="Base seed (default 0).")
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group. Every input, fit or solve error the library
+    raises is a ValueError (DataError, GlmError, ShadowError,
+    DegenerateDataError); it ends the command with its message, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="shadowipw")
 def main():
     """Identification tests and weighting estimators for causal effects
@@ -150,7 +159,8 @@ def main():
 
 
 @main.command("simulate")
-@click.option("--n", type=int, default=10000, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=10000,
+              show_default=True)
 @seed_option
 @click.option("--scenario", type=click.Choice(SCENARIOS), default="base",
               show_default=True)
@@ -166,13 +176,6 @@ def cmd_simulate(n, seed, scenario, out):
                            float(ds.column("R").mean())}, sort_keys=True))
 
 
-def _read_dataset(data_path, roles):
-    try:
-        return load_csv(data_path, roles)
-    except DataError as exc:
-        raise click.ClickException(str(exc)) from exc
-
-
 @main.command("search")
 @click.argument("data", type=click.Path(exists=True))
 @_with_role_options
@@ -186,11 +189,8 @@ def cmd_search(data, config_path, treatment, outcome, response, incentive,
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
                            covariates)
     alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
-    ds = _read_dataset(data, roles)
-    try:
-        outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    ds = load_csv(data, roles)
+    outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
     report = {"command": "search", "data": str(data), "alpha": alpha,
               "max_subset_size": max_subset_size, "roles": roles.to_dict(),
               "outcome": outcome_.to_dict()}
@@ -216,12 +216,8 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
     h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
                                                    clip_hi)
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
-    ds = _read_dataset(data, roles)
-    try:
-        model, _, est = estimate.fit_and_weight(ds, Z, h_mode,
-                                                (clip_lo, clip_hi))
-    except (shadow.ShadowError, GlmError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from exc
+    ds = load_csv(data, roles)
+    model, _, est = estimate.fit_and_weight(ds, Z, h_mode, (clip_lo, clip_hi))
     report = {"command": "estimate", "data": str(data),
               "roles": roles.to_dict(), "adjustment": list(Z),
               "h_mode": h_mode, "clip": [clip_lo, clip_hi],
@@ -252,26 +248,23 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
                                                    clip_hi)
     seed = _resolve(seed, config, "seed", 0)
 
-    ds = _read_dataset(data, roles)
+    ds = load_csv(data, roles)
     resolved = {"alpha": alpha, "max_subset_size": max_subset_size,
                 "h_mode": h_mode, "clip": [clip_lo, clip_hi], "seed": seed,
                 "roles": roles.to_dict()}
-    try:
-        outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
-        report = {"command": "pipeline", "data": str(data),
-                  "config": resolved, "search": outcome_.to_dict(),
-                  "response_propensity": None, "treatment_propensity": None,
-                  "estimate": None}
-        if outcome_.status == FOUND:
-            model, treat, est = estimate.fit_and_weight(
-                ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))
-            report["response_propensity"] = model.to_dict()
-            report["treatment_propensity"] = {
-                "coefficients": [float(c) for c in treat.coefficients],
-                "converged": treat.converged, "separated": treat.separated}
-            report["estimate"] = est.to_dict()
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
+    report = {"command": "pipeline", "data": str(data),
+              "config": resolved, "search": outcome_.to_dict(),
+              "response_propensity": None, "treatment_propensity": None,
+              "estimate": None}
+    if outcome_.status == FOUND:
+        model, treat, est = estimate.fit_and_weight(
+            ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))
+        report["response_propensity"] = model.to_dict()
+        report["treatment_propensity"] = {
+            "coefficients": [float(c) for c in treat.coefficients],
+            "converged": treat.converged, "separated": treat.separated}
+        report["estimate"] = est.to_dict()
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 
@@ -319,12 +312,9 @@ def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
     """Sensitivity/specificity of the adjustment-set search."""
     seed = 0 if seed is None else seed
     jobs = jobs or experiments.default_jobs()
-    try:
-        report = experiments.run_search_experiment(
-            _parse_grid(n_grid), trials, _check_alpha(alpha), seed=seed,
-            jobs=jobs, oracle=oracle)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = experiments.run_search_experiment(
+        _parse_grid(n_grid), trials, _check_alpha(alpha), seed=seed,
+        jobs=jobs, oracle=oracle)
     summary = {"command": "experiment search", "oracle": oracle,
                "jobs_invariant": True, **report.to_dict()}
     _emit_experiment(summary, report, "search", out_dir)
@@ -347,12 +337,9 @@ def cmd_experiment_estimate(n_grid, trials, alpha, methods, seed, jobs,
     seed = 0 if seed is None else seed
     jobs = jobs or experiments.default_jobs()
     method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
-    try:
-        report = experiments.run_estimation_experiment(
-            _parse_grid(n_grid), trials, _check_alpha(alpha),
-            methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    report = experiments.run_estimation_experiment(
+        _parse_grid(n_grid), trials, _check_alpha(alpha),
+        methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
     summary = {"command": "experiment estimate", **report.to_dict()}
     _emit_experiment(summary, report, "estimate", out_dir)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,24 +52,12 @@ class RoleMap:
     @classmethod
     def from_dict(cls, d: dict) -> "RoleMap":
         try:
-            return cls(
-                treatment=d["treatment"],
-                outcome=d["outcome"],
-                response=d["response"],
-                incentive=d["incentive"],
-                covariates=tuple(d["covariates"]),
-            )
+            return cls(**{f.name: d[f.name] for f in fields(cls)})
         except KeyError as exc:
             raise DataError(f"role map is missing key {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "treatment": self.treatment,
-            "outcome": self.outcome,
-            "response": self.response,
-            "incentive": self.incentive,
-            "covariates": list(self.covariates),
-        }
+        return {**asdict(self), "covariates": list(self.covariates)}
 
 
 class Dataset:

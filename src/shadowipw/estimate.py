@@ -14,7 +14,7 @@ deliberately insufficient adjustment set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,15 +42,7 @@ class AceEstimate:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "mean_treated": self.mean_treated,
-            "mean_control": self.mean_control,
-            "ace": self.ace,
-            "n": self.n,
-            "n_observed": self.n_observed,
-            "clipped_fraction": self.clipped_fraction,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def clip(p, lo: float = DEFAULT_CLIP[0], hi: float = DEFAULT_CLIP[1]):
@@ -148,7 +140,7 @@ def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
 
 
 def baseline_wrong_adjustment(ds: Dataset, Z=("W2", "W3"),
-                              h_mode: str = "a_mean",
+                              h_mode: str = shadow_module.H_MODE_A_MEAN,
                               clip_bounds=DEFAULT_CLIP) -> AceEstimate:
     """Full pipeline (response and treatment propensities, double IPW) run
     with a deliberately insufficient adjustment set."""

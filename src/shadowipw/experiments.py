@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,9 +44,7 @@ class SearchCell:
         return self.tn / (self.tn + self.fp) if (self.tn + self.fp) else float("nan")
 
     def to_dict(self) -> dict:
-        return {"sample_size": self.sample_size, "alpha": self.alpha,
-                "tp": self.tp, "fn": self.fn, "tn": self.tn, "fp": self.fp,
-                "sensitivity": self.sensitivity,
+        return {**asdict(self), "sensitivity": self.sensitivity,
                 "specificity": self.specificity}
 
 
@@ -77,31 +75,54 @@ class SearchExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_search(config, alpha, oracle):
-    ds = generate(config)
-    tester = None
+def _tester(config, ds, oracle: bool):
+    """The d-separation oracle on the generating graph, or None for the
+    likelihood-ratio tests."""
     if oracle:
-        tester = GraphOracleTester(scenario_graph(config.scenario), ds.roles)
-    return find_adjustment_set(ds, alpha, tester=tester)
+        return GraphOracleTester(scenario_graph(config.scenario), ds.roles)
+    return None
 
 
-def _positive_trial(args):
-    n, alpha, seed, oracle = args
-    config = default_config(n=n, seed=seed, scenario=SCENARIO_BASE)
-    outcome = _run_search(config, alpha, oracle)
-    correct = (outcome.status == FOUND
-               and tuple(sorted(outcome.adjustment_set)) == CORRECT_SET)
-    return (n, "positive", seed, SCENARIO_BASE, outcome.status, correct)
-
-
-def _negative_trial(args):
-    n, alpha, seed, oracle = args
-    coin = np.random.Generator(np.random.Philox(key=seed % (1 << 64))).uniform()
-    scenario = SCENARIO_ADD_A_TO_RY if coin < 0.5 else SCENARIO_HIDE_W4
+def _search_trial(args):
+    n, alpha, seed, kind, oracle = args
+    scenario = SCENARIO_BASE
+    if kind == "negative":
+        coin = np.random.Generator(
+            np.random.Philox(key=seed % (1 << 64))).uniform()
+        scenario = SCENARIO_ADD_A_TO_RY if coin < 0.5 else SCENARIO_HIDE_W4
     config = default_config(n=n, seed=seed, scenario=scenario)
-    outcome = _run_search(config, alpha, oracle)
-    correct = outcome.status != FOUND
-    return (n, "negative", seed, scenario, outcome.status, correct)
+    ds = generate(config)
+    outcome = find_adjustment_set(ds, alpha,
+                                  tester=_tester(config, ds, oracle))
+    if kind == "negative":
+        correct = outcome.status != FOUND
+    else:
+        correct = (outcome.status == FOUND
+                   and tuple(sorted(outcome.adjustment_set)) == CORRECT_SET)
+    return (n, kind, seed, scenario, outcome.status, correct)
+
+
+def _distinct(values, what: str) -> tuple:
+    """``values`` as a tuple, nonempty and without repeats: a repeat would
+    make two cells that ``cell()`` cannot tell apart."""
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"no {what} given")
+    if len(set(values)) < len(values):
+        raise ValueError(f"{what} must be distinct, got {list(values)}")
+    return values
+
+
+def _check_design(sample_sizes, trials: int) -> tuple:
+    """The sample-size grid as a tuple, once its sizes are known to be
+    distinct and >= 1 and ``trials`` to be >= 1."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    sample_sizes = _distinct(sample_sizes, "sample sizes")
+    for n in sample_sizes:
+        if n < 1:
+            raise ValueError(f"sample sizes must be >= 1, got {n}")
+    return sample_sizes
 
 
 def _run_jobs(fn, jobs_args, jobs: int):
@@ -123,24 +144,21 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     With ``oracle=True`` the likelihood-ratio tests are replaced by
     d-separation on the generating graph.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    sample_sizes = _check_design(sample_sizes, trials)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
         block = 2 * trials * idx
-        pos_args = [(n, alpha, seed + block + t, oracle)
-                    for t in range(trials)]
-        neg_args = [(n, alpha, seed + _NEGATIVE_SEED_STRIDE + block + t,
-                     oracle)
-                    for t in range(trials)]
-        pos = _run_jobs(_positive_trial, pos_args, jobs)
-        neg = _run_jobs(_negative_trial, neg_args, jobs)
-        tp = sum(row[5] for row in pos)
-        tn = sum(row[5] for row in neg)
+        args = ([(n, alpha, seed + block + t, "positive", oracle)
+                 for t in range(trials)]
+                + [(n, alpha, seed + _NEGATIVE_SEED_STRIDE + block + t,
+                    "negative", oracle) for t in range(trials)])
+        cell_rows = _run_jobs(_search_trial, args, jobs)
+        tp = sum(row[5] for row in cell_rows[:trials])
+        tn = sum(row[5] for row in cell_rows[trials:])
         cells.append(SearchCell(n, alpha, tp=tp, fn=trials - tp,
                                 tn=tn, fp=trials - tn))
-        rows += pos + neg
+        rows += cell_rows
     return SearchExperimentReport(tuple(cells), trials, trials, alpha, seed,
                                   tuple(rows))
 
@@ -207,10 +225,8 @@ def _estimation_trial(args):
     results = {}
     for method in methods:
         if method in (estimate.METHOD_FULL, estimate.METHOD_ORACLE_SEARCH):
-            tester = None
-            if method == estimate.METHOD_ORACLE_SEARCH:
-                tester = GraphOracleTester(scenario_graph(config.scenario),
-                                           ds.roles)
+            tester = _tester(config, ds,
+                             method == estimate.METHOD_ORACLE_SEARCH)
             outcome = find_adjustment_set(ds, alpha, tester=tester)
             results[method] = (estimate.fit_and_weight(
                 ds, outcome.adjustment_set, h_mode, method=method)[2].ace
@@ -235,9 +251,8 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    methods = tuple(methods)
+    sample_sizes = _check_design(sample_sizes, trials)
+    methods = _distinct(methods, "methods")
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}")

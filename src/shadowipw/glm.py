@@ -50,11 +50,6 @@ class CiTestResult:
     independent: bool
     alpha: float
 
-    def to_dict(self) -> dict:
-        return {"statistic": self.statistic, "df": self.df,
-                "p_value": self.p_value, "independent": self.independent,
-                "alpha": self.alpha}
-
 
 def chi_square_sf(x: float, df: int) -> float:
     """Upper tail P(X > x) of the chi-square distribution with df degrees

@@ -6,12 +6,17 @@ Z of the remaining covariates by ascending size and lexicographic order of
 column positions, accepting the first (W, Z) for which C2, C3, and C4 all
 pass (evaluated in that order with short-circuiting).
 
-Both condition backends read the rows of ``citest.CONDITIONS``, so they
-cannot disagree on what a condition conditions on or requires: LrtTester
-runs each row as a likelihood-ratio test on the dataset; GraphOracleTester
+A condition backend is any callable ``tester(condition, W, Z, alpha)``
+that returns a ``ConditionRecord``. W is the witness for the rows that test
+it (C3, C4) and None for the others (C1, C2); C1 gets Z = (). A backend
+may raise ValueError; the search then records the error in the trail and
+rejects the candidate.
+
+Both backends here read the rows of ``citest.CONDITIONS``, so they cannot
+disagree on what a condition conditions on or requires: LrtTester runs
+each row as a likelihood-ratio test on the dataset; GraphOracleTester
 answers it from d-separation on a known generating graph, with pass/fail
-encoded as p-values 1.0/0.0. A test error is recorded in the trail under
-the witness only for the rows that test the witness (C3, C4).
+encoded as p-values 1.0/0.0.
 """
 
 from __future__ import annotations
@@ -63,8 +68,14 @@ class LrtTester:
         self._observed: Dataset | None = None
         self._c2_memo: dict[tuple, ConditionRecord] = {}
 
-    def c1(self, alpha):
-        return citest.test_c1(self.ds, alpha)
+    def __call__(self, condition, W, Z, alpha):
+        if condition == C1:
+            return citest.test_c1(self.ds, alpha)
+        if condition == C2:
+            return self.c2(Z, alpha)
+        if condition == C3:
+            return citest.test_c3(self.ds, W, Z, alpha)
+        return citest.test_c4(self.ds, W, Z, alpha)
 
     def c2(self, Z, alpha):
         key = (tuple(Z), alpha)
@@ -74,12 +85,6 @@ class LrtTester:
             self._c2_memo[key] = citest.test_c2(self.ds, Z, alpha,
                                                 self._observed)
         return self._c2_memo[key]
-
-    def c3(self, W, Z, alpha):
-        return citest.test_c3(self.ds, W, Z, alpha)
-
-    def c4(self, W, Z, alpha):
-        return citest.test_c4(self.ds, W, Z, alpha)
 
 
 class GraphOracleTester:
@@ -96,7 +101,7 @@ class GraphOracleTester:
         self.graph = graph
         self.roles = roles
 
-    def _decide(self, condition, W, Z, alpha):
+    def __call__(self, condition, W, Z, alpha):
         cond = CONDITIONS[condition]
         roles = self.roles
         given = [getattr(roles, g) for g in cond.given]
@@ -110,18 +115,6 @@ class GraphOracleTester:
                               df=1, p_value=0.0 if dependent else 1.0,
                               independent=not dependent, alpha=alpha)
         return ConditionRecord(condition, W, tuple(Z), result)
-
-    def c1(self, alpha):
-        return self._decide(C1, None, (), alpha)
-
-    def c2(self, Z, alpha):
-        return self._decide(C2, None, Z, alpha)
-
-    def c3(self, W, Z, alpha):
-        return self._decide(C3, W, Z, alpha)
-
-    def c4(self, W, Z, alpha):
-        return self._decide(C4, W, Z, alpha)
 
 
 def find_adjustment_set(ds: Dataset, alpha: float,
@@ -141,7 +134,7 @@ def find_adjustment_set(ds: Dataset, alpha: float,
 
     trail: list[ConditionRecord] = []
 
-    c1_record = tester.c1(alpha)
+    c1_record = tester(C1, None, (), alpha)
     trail.append(c1_record)
     if not c1_record.passed:
         return SearchOutcome(C1_FAILED, None, None, tuple(trail), len(trail))
@@ -153,16 +146,13 @@ def find_adjustment_set(ds: Dataset, alpha: float,
             limit = min(limit, max_subset_size)
         for size in range(limit + 1):
             for Z in itertools.combinations(remaining, size):
-                for cond, runner in ((C2, lambda: tester.c2(Z, alpha)),
-                                     (C3, lambda: tester.c3(witness, Z, alpha)),
-                                     (C4, lambda: tester.c4(witness, Z, alpha))):
+                for cond in (C2, C3, C4):
+                    W = witness if CONDITIONS[cond].added is None else None
                     try:
-                        record = runner()
+                        record = tester(cond, W, Z, alpha)
                     except ValueError as exc:   # DegenerateDataError, GlmError
-                        uses_witness = CONDITIONS[cond].added is None
-                        record = ConditionRecord(
-                            cond, witness if uses_witness else None, Z,
-                            None, error=str(exc))
+                        record = ConditionRecord(cond, W, Z, None,
+                                                 error=str(exc))
                     trail.append(record)
                     if not record.passed:
                         break

@@ -24,7 +24,7 @@ so a caller sees the degenerate solve rather than a number.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -61,17 +61,8 @@ class ShadowPropensityModel:
     used_fallback: bool = False   # Newton stalled short of TOL
 
     def to_dict(self) -> dict:
-        return {
-            "beta": list(np.asarray(self.beta, dtype=float)),
-            "gamma": self.gamma,
-            "y_ref": self.y_ref,
-            "adjustment": list(self.adjustment),
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "degenerate": self.degenerate,
-            "used_fallback": self.used_fallback,
-        }
+        return {**asdict(self), "beta": [float(b) for b in self.beta],
+                "adjustment": list(self.adjustment)}
 
     @classmethod
     def trivial(cls, adjustment) -> "ShadowPropensityModel":

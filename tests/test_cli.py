@@ -68,6 +68,15 @@ class TestSimulate:
                              "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_non_positive_n_is_a_usage_error(self, tmp_path, runner, n):
+        out = tmp_path / "d.csv"
+        result = runner.invoke(main, ["simulate", "--n", n, "--out",
+                                      str(out)])
+        assert result.exit_code == 2
+        assert "--n" in result.output
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSearchCommand:
     def test_base_data_found_with_exit_zero(self, tmp_path, runner):
@@ -212,11 +221,37 @@ class TestExperimentCommands:
         assert (out_dir / "estimate_trials.csv").exists()
 
 
+class TestLibraryErrors:
+    """An input, fit or solve error the library raises ends any command
+    with its message and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize("command,args,message", [
+        ("search", ["--covariates", "W1,W2,W3,W9"],
+         "column 'W9' not found"),
+        ("estimate", ["--adjustment", "W2,W9"],
+         "adjustment column 'W9' is not a covariate"),
+        ("pipeline", ["--covariates", "W1,W2,W3,W9"],
+         "column 'W9' not found"),
+    ])
+    def test_bad_input_exits_one_with_message(self, tmp_path, runner,
+                                              command, args, message):
+        csv = simulate_csv(tmp_path, runner, n=200, seed=1, name="t.csv")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS, *args,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+
 class TestArgumentChecks:
     """Every command rejects a test level outside (0, 1), clip bounds
     outside 0 < lo < hi < 1, a negative or fractional subset size and an
-    unknown h mode before doing any work, and a trial count below 1 ends
-    in an error message rather than a traceback."""
+    unknown h mode before doing any work, and a trial count below 1, an
+    empty grid or method list, a size below 1 or a repeated size or method
+    ends in an error message rather than a traceback."""
 
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
@@ -259,6 +294,31 @@ class TestArgumentChecks:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "trials must be >= 1" in result.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("experiment,args,message", [
+        ("search", ["--n-grid", ","], "no sample sizes given"),
+        ("estimate", ["--n-grid", ","], "no sample sizes given"),
+        ("search", ["--n-grid", "200,0"], "sample sizes must be >= 1"),
+        ("estimate", ["--n-grid", "-5"], "sample sizes must be >= 1"),
+        ("search", ["--n-grid", "200,200"], "sample sizes must be distinct"),
+        ("estimate", ["--n-grid", "200,300,200"],
+         "sample sizes must be distinct"),
+        ("estimate", ["--n-grid", "200", "--methods",
+                      "oracle_search,oracle_search"],
+         "methods must be distinct"),
+        ("estimate", ["--n-grid", "200", "--methods", ","],
+         "no methods given"),
+    ])
+    def test_experiments_reject_degenerate_design(self, tmp_path, runner,
+                                                  experiment, args, message):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "experiment", experiment, *args, "--trials", "1", "--jobs", "1",
+            "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
         assert not out_dir.exists()
 
     # the file below lacks every role column, so a setting that is checked

@@ -109,6 +109,38 @@ PINNED_VERDICTS = {
 }
 
 
+class TestTesterProtocol:
+    def test_plain_function_is_a_tester(self, base_ds_small):
+        # a backend is any callable (condition, W, Z, alpha) -> record;
+        # this one passes exactly the conditions listed here
+        passes = {("C1", None, ()), ("C2", None, ("W3",)),
+                  ("C3", "W2", ("W3",)), ("C4", "W2", ("W3",))}
+
+        def tester(condition, W, Z, alpha):
+            passed = (condition, W, Z) in passes
+            independent = passed == (condition in ("C2", "C4"))
+            return ConditionRecord(condition, W, Z, CiTestResult(
+                statistic=0.0 if independent else 9.0, df=1,
+                p_value=1.0 if independent else 0.001,
+                independent=independent, alpha=alpha))
+
+        outcome = find_adjustment_set(base_ds_small, ALPHA, tester=tester)
+        assert (outcome.status, outcome.witness, outcome.adjustment_set,
+                outcome.tests_run) == (FOUND, "W2", ("W3",), 15)
+        failed_c2 = [("C2", None, Z, False) for Z in (
+            ("W4",), ("W2", "W3"), ("W2", "W4"), ("W3", "W4"),
+            ("W2", "W3", "W4"))]
+        assert [(rec.condition, rec.witness, rec.adjustment, rec.passed)
+                for rec in outcome.trail] == [
+            ("C1", None, (), True),
+            ("C2", None, (), False), ("C2", None, ("W2",), False),
+            ("C2", None, ("W3",), True), ("C3", "W1", ("W3",), False),
+            *failed_c2,
+            ("C2", None, (), False), ("C2", None, ("W1",), False),
+            ("C2", None, ("W3",), True), ("C3", "W2", ("W3",), True),
+            ("C4", "W2", ("W3",), True)]
+
+
 class TestPinnedVerdicts:
     @pytest.mark.parametrize("scenario, seed", sorted(PINNED_VERDICTS))
     def test_verdict_is_pinned(self, scenario, seed):
@@ -133,7 +165,9 @@ class TestPinnedVerdicts:
                             lambda d: slices.append(1) or original(d))
 
         class GatePassed(LrtTester):
-            def c1(self, alpha):
+            def __call__(self, condition, W, Z, alpha):
+                if condition != C1:
+                    return super().__call__(condition, W, Z, alpha)
                 return ConditionRecord(C1, None, (), CiTestResult(
                     statistic=float("inf"), df=1, p_value=0.0,
                     independent=False, alpha=alpha))
