@@ -11,10 +11,10 @@ of a likelihood-ratio test is from its null fit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, gammaincc
 
 # L2 coefficient norm beyond which a logistic fit is treated as separated
 SEPARATION_NORM = 30.0
@@ -51,14 +51,44 @@ class CiTestResult:
     alpha: float
 
 
+def expit(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Below x = -709, exp(-x) overflows to inf and the result is 0.0; that
+    overflow is expected, so it raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
 def chi_square_sf(x: float, df: int) -> float:
     """Upper tail P(X > x) of the chi-square distribution with df degrees
-    of freedom, via the regularized upper incomplete gamma function."""
+    of freedom, a positive integer.
+
+    This is the regularized upper incomplete gamma function Q(df/2, x/2)
+    in closed form: Q(1/2, h) = erfc(sqrt(h)) and Q(1, h) = exp(-h), stepped
+    up by Q(a+1, h) = Q(a, h) + h^a e^-h / Gamma(a+1). Every step adds a
+    nonnegative term, so no digits cancel.
+    """
     if x < 0:
         raise GlmError(f"chi-square statistic must be >= 0, got {x}")
-    if df <= 0:
-        raise GlmError(f"degrees of freedom must be positive, got {df}")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if df <= 0 or df != int(df):
+        raise GlmError(f"degrees of freedom must be a positive integer, "
+                       f"got {df}")
+    if math.isinf(x):
+        return 0.0
+    h = x / 2.0
+    if df % 2:
+        # term is h^a e^-h / Gamma(a+1), and Gamma(3/2) = sqrt(pi)/2
+        a, q = 0.5, math.erfc(math.sqrt(h))
+        term = 2.0 * math.sqrt(h / math.pi) * math.exp(-h)
+    else:
+        a, q, term = 1.0, math.exp(-h), h * math.exp(-h)
+    while a < df / 2.0:
+        q += term
+        a += 1.0
+        term *= h / a
+    return q
 
 
 def _logistic_ll(y: np.ndarray, eta: np.ndarray) -> float:
@@ -86,7 +116,7 @@ def _fit_logistic(y, Xt, start):
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        mu = 1.0 / (1.0 + np.exp(-eta))
+        mu = expit(eta)
         score = Xt @ (y - mu)
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum

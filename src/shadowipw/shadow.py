@@ -27,9 +27,9 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset
+from .glm import expit
 
 H_MODE_A_MEAN = "a_mean"
 H_MODE_A_ROW = "a_row"

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, RoleMap
+from .glm import expit
 from .graphs import Dag
 
 SCENARIO_BASE = "base"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,34 @@ class TestChiSquareSf:
     def test_rejects_negative_statistic(self):
         with pytest.raises(GlmError):
             chi_square_sf(-1.0, 1)
+
+    @pytest.mark.parametrize("df", [0, -2, 1.5])
+    def test_rejects_df_that_is_not_a_positive_integer(self, df):
+        with pytest.raises(GlmError, match="positive integer"):
+            chi_square_sf(1.0, df)
+
+    def test_matches_scipy_incomplete_gamma(self):
+        special = pytest.importorskip("scipy.special")
+        for df in range(1, 11):
+            for x in np.concatenate([[0.0], np.logspace(-3, 2.5, 56),
+                                     [np.inf]]):
+                assert chi_square_sf(float(x), df) == pytest.approx(
+                    special.gammaincc(df / 2.0, x / 2.0), rel=1e-12, abs=0)
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        x = np.linspace(-700.0, 700.0, 200_001)
+        np.testing.assert_allclose(glm.expit(x), special.expit(x),
+                                   rtol=1e-15, atol=0)
+
+    def test_saturates_without_warning(self):
+        # the simulator calls expit on unclipped linear predictors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = glm.expit(np.array([-1000.0, 1000.0]))
+        assert out.tolist() == [0.0, 1.0]
 
 
 class TestLogisticFit:

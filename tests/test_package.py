@@ -5,6 +5,24 @@ from pathlib import Path
 
 import shadowipw
 
+SRC = str(Path(shadowipw.__file__).resolve().parent.parent)
+
+# runs a CLI command in this interpreter; each module named in the first
+# argument is blocked, so that importing it raises ImportError
+RUN_CLI = """
+import sys
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
+from shadowipw.cli import main
+main(sys.argv[2:], prog_name="shadowipw")
+"""
+
+
+def python(*args, cwd=None):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
 
 def test_every_exported_name_resolves():
     missing = [name for name in shadowipw.__all__
@@ -14,12 +32,39 @@ def test_every_exported_name_resolves():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # nothing on a CLI run needs an optimizer; importing one costs every
-    # start of the program
-    src = str(Path(shadowipw.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, shadowipw.cli; "
-         "print('scipy.optimize' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    # the runtime is numpy and click: scipy and networkx are test
+    # dependencies only, and importing either costs every start of the
+    # program
+    for module in ("shadowipw", "shadowipw.cli"):
+        out = python("-c", f"import sys, {module}; "
+                     "print('scipy.optimize' in sys.modules); "
+                     "print(sorted(m for m in sys.modules "
+                     "if m.split('.')[0] in ('scipy', 'networkx')))")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "[]"], module
+
+
+def test_cli_runs_without_scipy_and_networkx(tmp_path):
+    # simulate, the LRT pipeline and the d-separation oracle each write
+    # the same bytes with the test dependencies blocked as without; paths
+    # are relative because the pipeline report records its input's
+    commands = [
+        ["simulate", "--n", "3000", "--seed", "5", "--out", "data.csv"],
+        ["pipeline", "data.csv", "--treatment", "A", "--outcome", "Y",
+         "--response", "R", "--incentive", "I", "--covariates",
+         "W1,W2,W3,W4", "--out", "report.json"],
+        ["experiment", "search", "--n-grid", "400", "--trials", "2",
+         "--seed", "3", "--jobs", "1", "--oracle", "--out-dir", "oracle"],
+    ]
+    reports = {}
+    for blocked in ("", "scipy,networkx"):
+        out = tmp_path / (blocked.replace(",", "-") or "all")
+        out.mkdir()
+        for command in commands:
+            run = python("-c", RUN_CLI, blocked, *command, cwd=out)
+            assert run.returncode == 0, (blocked, command, run.stderr)
+        reports[blocked] = {path.relative_to(out): path.read_bytes()
+                            for path in sorted(out.rglob("*"))
+                            if path.is_file()}
+    assert len(reports[""]) == 5
+    assert reports["scipy,networkx"] == reports[""]
