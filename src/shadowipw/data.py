@@ -103,9 +103,7 @@ class Dataset:
                     f"oracle-only column {name!r} may not be used in a role")
         for name, arr in self._columns.items():
             if name != roles.outcome and np.isnan(arr).any():
-                raise DataError(f"column {name!r} contains missing values; "
-                                f"only the outcome column {roles.outcome!r} "
-                                "may")
+                raise _missing_values_error(name, roles.outcome)
         for name in (roles.treatment, roles.response):
             if not np.isin(self._columns[name], (0.0, 1.0)).all():
                 raise DataError(f"binary column {name!r} contains values "
@@ -150,15 +148,21 @@ class Dataset:
                                   equal_nan=True) for n in self.names)
 
 
-def _parse_cell(text: str, column: str, row: int) -> float:
+def _cell(text: str) -> float:
+    """A cell's value, NaN if missing. Numbers take the syntax of NumPy's
+    parser: ``float``'s, less digit-group underscores and non-ASCII
+    digits."""
     if text in MISSING_TOKENS:
         return math.nan
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(
-            f"malformed number {text!r} in column {column!r}, row {row}"
-        ) from None
+    stripped = text.strip()
+    if stripped.isascii() and "_" not in stripped:
+        return float(stripped)
+    raise ValueError(text)
+
+
+def _missing_values_error(name: str, outcome: str) -> DataError:
+    return DataError(f"column {name!r} contains missing values; only the "
+                     f"outcome column {outcome!r} may")
 
 
 def load_csv(path, roles: RoleMap) -> Dataset:
@@ -167,16 +171,16 @@ def load_csv(path, roles: RoleMap) -> Dataset:
     Cells equal to one of ``MISSING_TOKENS`` become missing; only the
     outcome may hold them. If the response column is absent from the file
     it is derived as ``1 - missing(outcome)``; if present, it must agree
-    with the outcome's missingness pattern.
+    with the outcome's missingness pattern. Numbers are read by NumPy's
+    parser. A UTF-8 byte-order mark is skipped; a blank line is an error.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise DataError(f"{path} is empty; a header row is required") from None
-        rows = list(reader)
+        lines = fh.readlines()
 
     if len(set(header)) != len(header):
         raise DataError(f"{path} header contains duplicate column names")
@@ -187,26 +191,68 @@ def load_csv(path, roles: RoleMap) -> Dataset:
         if name not in header:
             raise DataError(f"column {name!r} not found in {path} header")
 
-    raw = {name: np.empty(len(rows)) for name in header}
-    for i, row in enumerate(rows):
+    table = _parse_body(lines, header, path, roles.outcome)
+    columns = {name: table[:, j] for j, name in enumerate(header)}
+    if derive_response:
+        columns[roles.response] = (~np.isnan(columns[roles.outcome])).astype(float)
+    return Dataset(columns, roles)
+
+
+def _parse_body(lines, header, path, outcome) -> np.ndarray:
+    """The rows after the header as a rows x columns table; a body that
+    NumPy refuses raises the DataError of its first fault."""
+    if not lines:
+        return np.empty((0, len(header)))
+    if "\n" in lines or "\r\n" in lines or "\r" in lines:
+        # np.loadtxt skips blank lines; unless quoted, each is a 0-field row
+        _raise_first_fault(lines, header, path, outcome)
+    try:
+        # only the outcome may hold a missing cell, so only it is
+        # converted in Python
+        table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                           ndmin=2,
+                           converters={header.index(outcome): _cell})
+        if table.shape[1] != len(header):
+            raise ValueError(f"{table.shape[1]} columns, expected {len(header)}")
+    except ValueError as exc:
+        _raise_first_fault(lines, header, path, outcome)
+        raise DataError(f"cannot parse {path}: {exc}") from None
+    return table
+
+
+def _raise_first_fault(lines, header, path, outcome) -> None:
+    """Raise the DataError for the first fault a cell-by-cell read of the
+    body meets: a row of the wrong width or a malformed number, in row
+    order, then a missing cell outside the outcome, in column order.
+    Returns if the body has no fault."""
+    missing = set()
+    for i, row in enumerate(csv.reader(lines)):
         if len(row) != len(header):
             raise DataError(f"row {i} of {path} has {len(row)} fields, "
                             f"expected {len(header)}")
         for name, text in zip(header, row):
-            raw[name][i] = _parse_cell(text, name, i)
+            try:
+                value = _cell(text)
+            except ValueError:
+                raise DataError(f"malformed number {text!r} in column "
+                                f"{name!r}, row {i}") from None
+            if math.isnan(value) and name != outcome:
+                missing.add(name)
+    for name in header:
+        if name in missing:
+            raise _missing_values_error(name, outcome)
 
-    if derive_response:
-        raw[roles.response] = (~np.isnan(raw[roles.outcome])).astype(float)
-    return Dataset(raw, roles)
 
-
-def _format_cell(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)   # shortest exact round-trip representation
+def _format_column(values: np.ndarray) -> list[str]:
+    """Cell text of a column: empty for NaN, integer text for a whole
+    number below 1e15 in magnitude, else ``repr``, the shortest text that
+    reads back to the same float."""
+    cells = values.astype(object)   # Python floats, whose str is their repr
+    whole = np.isfinite(values) & (values == np.trunc(values)) & (
+        np.abs(values) < 1e15)
+    cells[whole] = values[whole].astype(np.int64)
+    cells[np.isnan(values)] = ""
+    return list(map(str, cells.tolist()))
 
 
 def write_csv(ds: Dataset, path) -> None:
@@ -226,11 +272,9 @@ def write_csv(ds: Dataset, path) -> None:
 
 def _write_columns(ds: Dataset, names, path: Path) -> None:
     with path.open("w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        columns = [ds.column(n) for n in names]
-        for i in range(ds.n_rows):
-            writer.writerow([_format_cell(col[i]) for col in columns])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        rows = zip(*(_format_column(ds.column(n)) for n in names))
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def subset_observed(ds: Dataset) -> Dataset:

@@ -8,7 +8,6 @@ Positive and negative search trials use disjoint seed offsets.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -128,6 +127,8 @@ def _check_design(sample_sizes, trials: int) -> tuple:
 def _run_jobs(fn, jobs_args, jobs: int):
     if jobs <= 1:
         return [fn(a) for a in jobs_args]
+    # imported here: loading the pool's module costs every CLI start
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, jobs_args, chunksize=4))
 

@@ -1,6 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from shadowipw import data
 from shadowipw.data import (DataError, Dataset, RoleMap, load_csv,
                             subset_observed, write_csv)
 from shadowipw.simulate import default_config, generate
@@ -70,6 +77,145 @@ class TestLoadCsv:
         write_csv(ds, first)
         write_csv(load_csv(first, ds.roles), second)
         assert first.read_bytes() == second.read_bytes()
+
+
+ROWS = "1,1,0.5,0.1,0.2\n0,,1.5,0.3,0.4\n"
+ROWS_LOADED = {"A": [1.0, 0.0], "Y": [1.0, np.nan], "I": [0.5, 1.5],
+               "W1": [0.1, 0.3], "W2": [0.2, 0.4], "R": [1.0, 0.0]}
+
+
+class TestLoadCsvContract:
+    """What the loader accepts and how it refuses, cell by cell."""
+
+    @pytest.mark.parametrize("body", [
+        ("A,Y,I,W1,W2\n" + ROWS).replace("\n", "\r\n").encode(),
+        ("A,Y,I,W1,W2\n" + ROWS).rstrip("\n").encode(),
+        b'"A","Y",I,W1,"W2"\n"1","1",0.5,"0.1",0.2\n0,"",1.5,0.3,"0.4"\n',
+        b"A,Y,I,W1,W2\n 1,1 ,\t0.5,  0.1 ,0.2\n0,,1.5,0.3,0.4\n",
+    ], ids=["crlf", "no-final-newline", "quoted", "space-padded"])
+    def test_accepted_layouts(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        ds = load_csv(path, ROLES)
+        assert ds.names == tuple(ROWS_LOADED)
+        for name, values in ROWS_LOADED.items():
+            assert np.array_equal(ds.column(name), values, equal_nan=True)
+
+    @pytest.mark.parametrize("text, message", [
+        ("A,Y,I,W1,W2\n1,1,0.5,#0.5,0.2\n",
+         r"malformed number '#0\.5' in column 'W1', row 0"),
+        ("A,Y,I,W1,W2\n" + ROWS[:16] + "\n" + ROWS[16:],
+         r"row 1 of .*data\.csv has 0 fields, expected 5"),
+        ("A,Y,I,W1,W2\n" + ROWS + "\n",
+         r"row 2 of .*data\.csv has 0 fields, expected 5"),
+        ("A,Y,I,W1,W2\n1,1,0.5,NA,0.2\n",
+         "column 'W1' contains missing values; only the outcome column 'Y' "
+         "may"),
+        ("A,Y,I,W1,W2\n1,x,0.5,0.1,0.2\n",
+         r"malformed number 'x' in column 'Y', row 0"),
+        ("A,Y,I,W1,W2\n" + ROWS + "1,1,0.5,0.1\n",
+         r"row 2 of .*data\.csv has 4 fields, expected 5"),
+        ("A,Y,I,W1,W2\n1,1,0.5,0.1,0.2,9\n",
+         r"row 0 of .*data\.csv has 6 fields, expected 5"),
+        # every row is read before a missing cell is judged, and the first
+        # column in header order is named
+        ("A,Y,I,W1,W2\n1,1,0.5,0.1,NA\n1,1,0.5,,0.2\n1,1,0.5,0.1,oops\n",
+         r"malformed number 'oops' in column 'W2', row 2"),
+        ("A,Y,I,W1,W2\n1,1,0.5,0.1,NA\n1,1,0.5,nan,0.2\n",
+         "column 'W1' contains missing values"),
+    ], ids=["comment-char", "blank-line", "blank-last-line", "na-covariate",
+            "malformed-outcome", "short-row", "long-row",
+            "malformed-before-missing", "missing-in-header-order"])
+    def test_refused_with_first_fault(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(write(tmp_path, text), ROLES)
+
+    @pytest.mark.parametrize("text", ["A,Y,I,W1,W2\n", "A,Y,I,W1,W2"])
+    def test_header_only_gives_empty_dataset(self, tmp_path, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv(write(tmp_path, text), ROLES)
+        assert ds.n_rows == 0
+        assert ds.names == tuple(ROWS_LOADED)
+
+    def test_utf8_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfA,Y,I,W1,W2\n" + ROWS.encode())
+        ds = load_csv(path, ROLES)
+        assert ds.names == tuple(ROWS_LOADED)
+        assert np.array_equal(ds.column("A"), ROWS_LOADED["A"])
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "2\u0665"])
+    @pytest.mark.parametrize("column", ["Y", "W2"])
+    def test_numpy_number_syntax_in_every_column(self, tmp_path, cell,
+                                                  column):
+        # float() takes digit-group underscores and non-ASCII digits; the
+        # loader parses with NumPy, which does not
+        cells = dict(zip("A Y I W1 W2".split(), "1 1 0.5 0.1 0.2".split()))
+        cells[column] = cell
+        path = tmp_path / "data.csv"
+        path.write_text("A,Y,I,W1,W2\n" + ",".join(cells.values()) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=f"malformed number '{cell}' in "
+                                            f"column '{column}', row 0"):
+            load_csv(path, ROLES)
+
+    def test_refusal_without_a_cell_fault_quotes_numpy(self, tmp_path,
+                                                        monkeypatch):
+        def refuse(*args, **kwargs):
+            raise ValueError("the parser's own reason")
+        monkeypatch.setattr(data.np, "loadtxt", refuse)
+        with pytest.raises(DataError, match="cannot parse .*data\\.csv: "
+                                            "the parser's own reason"):
+            load_csv(write(tmp_path, "A,Y,I,W1,W2\n" + ROWS), ROLES)
+
+
+def format_cell(value: float) -> str:
+    """The writer's rule, one cell at a time."""
+    value = float(value)
+    if math.isnan(value):
+        return ""
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e15 - 1,
+         -(1e15 - 1), 1e15, -1e15, 1e15 + 2, 999999999999999.9, 1e16, 2.0**53,
+         2.0**63, -2.0**63, 1e300, math.inf, -math.inf, math.nan, 0.1, -7.0]
+
+
+class TestWriteCsv:
+    @given(hnp.arrays(np.float64, st.integers(0, 60), elements=st.one_of(
+        st.floats(allow_subnormal=True), st.sampled_from(EDGES),
+        st.integers(-2**62, 2**62).map(float))))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_follow_the_per_cell_rule(self, values):
+        assert data._format_column(values) == [format_cell(v) for v in values]
+
+    def test_round_trip_is_bit_exact_at_scale(self, tmp_path):
+        # every kind of value a column can hold, except -0.0, which the
+        # writer's integer rule writes as 0
+        rng = np.random.default_rng(8)
+        n = 100_000
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
+        y[rng.uniform(size=n) < 0.4] = np.nan
+        columns = {
+            "A": rng.integers(0, 2, n).astype(float), "Y": y,
+            "R": (~np.isnan(y)).astype(float),
+            "I": rng.choice([e for e in EDGES
+                             if not math.isnan(e) and repr(e) != "-0.0"], n),
+            "W1": rng.integers(-10**16, 10**16, n).astype(float),
+            "W2": rng.normal(size=n) * 1e-310,
+        }
+        ds = Dataset(columns, ROLES)
+        path = tmp_path / "big.csv"
+        write_csv(ds, path)
+        back = load_csv(path, ROLES)
+        assert back.names == ds.names
+        for name in ds.names:
+            assert back.column(name).tobytes() == ds.column(name).tobytes(), \
+                name
 
 
 def toy_columns(**replacements):

@@ -34,14 +34,15 @@ def test_every_exported_name_resolves():
 def test_cli_import_leaves_out_scipy_optimize():
     # the runtime is numpy and click: scipy and networkx are test
     # dependencies only, and importing either costs every start of the
-    # program
+    # program, as would the process pool only `--jobs` above 1 uses
     for module in ("shadowipw", "shadowipw.cli"):
         out = python("-c", f"import sys, {module}; "
                      "print('scipy.optimize' in sys.modules); "
+                     "print('concurrent.futures.process' in sys.modules); "
                      "print(sorted(m for m in sys.modules "
                      "if m.split('.')[0] in ('scipy', 'networkx')))")
         assert out.returncode == 0, out.stderr
-        assert out.stdout.split() == ["False", "[]"], module
+        assert out.stdout.split() == ["False", "False", "[]"], module
 
 
 def test_cli_runs_without_scipy_and_networkx(tmp_path):
