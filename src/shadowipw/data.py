@@ -208,9 +208,10 @@ def _parse_body(lines, header, path, outcome) -> np.ndarray:
         _raise_first_fault(lines, header, path, outcome)
     try:
         # only the outcome may hold a missing cell, so only it is
-        # converted in Python
+        # converted in Python; encoding=None hands it str on NumPy 1.x too,
+        # whose default, 'bytes', would hand it bytes
         table = np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                           ndmin=2,
+                           ndmin=2, encoding=None,
                            converters={header.index(outcome): _cell})
         if table.shape[1] != len(header):
             raise ValueError(f"{table.shape[1]} columns, expected {len(header)}")

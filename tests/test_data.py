@@ -160,6 +160,21 @@ class TestLoadCsvContract:
                                             f"column '{column}', row 0"):
             load_csv(path, ROLES)
 
+    def test_loads_where_loadtxt_defaults_to_bytes(self, tmp_path,
+                                                   monkeypatch):
+        # NumPy before 2.0 defaults loadtxt's encoding to 'bytes', which
+        # hands converters bytes; the loader must ask for str itself
+        loadtxt = np.loadtxt
+
+        def numpy1_loadtxt(*args, **kwargs):
+            kwargs.setdefault("encoding", "bytes")
+            return loadtxt(*args, **kwargs)
+        monkeypatch.setattr(data.np, "loadtxt", numpy1_loadtxt)
+        ds = load_csv(write(tmp_path, "A,Y,I,W1,W2\n" + ROWS
+                            + "1,NA,0.5,0.1,0.2\n"), ROLES)
+        assert np.array_equal(ds.column("Y"), [*ROWS_LOADED["Y"], np.nan],
+                              equal_nan=True)
+
     def test_refusal_without_a_cell_fault_quotes_numpy(self, tmp_path,
                                                         monkeypatch):
         def refuse(*args, **kwargs):
