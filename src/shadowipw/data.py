@@ -175,12 +175,17 @@ def load_csv(path, roles: RoleMap) -> Dataset:
     parser. A UTF-8 byte-order mark is skipped; a blank line is an error.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"{path} is empty; a header row is required") from None
-        lines = fh.readlines()
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise DataError(f"{path} is empty; a header row is "
+                                "required") from None
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        _raise_not_utf8(path)
+        raise
 
     if len(set(header)) != len(header):
         raise DataError(f"{path} header contains duplicate column names")
@@ -196,6 +201,18 @@ def load_csv(path, roles: RoleMap) -> Dataset:
     if derive_response:
         columns[roles.response] = (~np.isnan(columns[roles.outcome])).astype(float)
     return Dataset(columns, roles)
+
+
+def _raise_not_utf8(path: Path) -> None:
+    """Raise the DataError naming the first byte of the file that is not
+    UTF-8. The codec's own offset counts from the chunk the reader had
+    buffered, so the whole file is decoded again to find the file offset."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8: byte "
+                        f"0x{exc.object[exc.start]:02x} at offset {exc.start} "
+                        "cannot be decoded") from None
 
 
 def _parse_body(lines, header, path, outcome) -> np.ndarray:
@@ -246,11 +263,11 @@ def _raise_first_fault(lines, header, path, outcome) -> None:
 
 def _format_column(values: np.ndarray) -> list[str]:
     """Cell text of a column: empty for NaN, integer text for a whole
-    number below 1e15 in magnitude, else ``repr``, the shortest text that
-    reads back to the same float."""
+    number below 1e15 in magnitude other than -0.0, else ``repr``, the
+    shortest text that reads back to the same float."""
     cells = values.astype(object)   # Python floats, whose str is their repr
     whole = np.isfinite(values) & (values == np.trunc(values)) & (
-        np.abs(values) < 1e15)
+        np.abs(values) < 1e15) & ~((values == 0.0) & np.signbit(values))
     cells[whole] = values[whole].astype(np.int64)
     cells[np.isnan(values)] = ""
     return list(map(str, cells.tolist()))
@@ -283,7 +300,7 @@ def subset_observed(ds: Dataset) -> Dataset:
 
     Idempotent. An empty result is permitted but flagged with a warning.
     """
-    mask = ds.column(ds.roles.response) == 1.0
-    if not mask.any():
+    rows = np.flatnonzero(ds.column(ds.roles.response))
+    if not rows.size:
         warnings.warn("no rows with response == 1", stacklevel=2)
-    return ds.take(mask)
+    return ds.take(rows)

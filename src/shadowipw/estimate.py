@@ -85,24 +85,21 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
         raise ValueError(f"adjustment set {Z} does not match the fitted "
                          f"response-propensity model {shadow.adjustment}")
     n = ds.n_rows
-    r = ds.column(roles.response)
-    a = ds.column(roles.treatment)
-    y = ds.column(roles.outcome)
-    obs = r == 1.0
-    Zm = np.column_stack([ds.column(z) for z in Z]) if Z else np.empty((n, 0))
-    X = design_matrix(n, *(ds.column(z) for z in Z))
+    rows = np.flatnonzero(ds.column(roles.response))   # outcome observed
+    a = ds.column(roles.treatment).take(rows)
+    y = ds.column(roles.outcome).take(rows)
+    X = design_matrix(rows.size, *(ds.column(z).take(rows) for z in Z))
 
-    p_r = or_propensity(np.nan_to_num(y[obs]), Zm[obs], shadow)
-    p_r = np.atleast_1d(p_r)
+    p_r = np.atleast_1d(or_propensity(y, X[:, 1:], shadow))
     p_r_clipped = p_r if shadow.degenerate else clip(p_r, lo, hi)
-    means, n_clipped = _arm_means(treat.predict_proba(X)[obs], a[obs], y[obs],
+    means, n_clipped = _arm_means(treat.predict_proba(X), a, y,
                                   p_r_clipped, lo, hi, n)
     n_clipped += int(np.sum(p_r != p_r_clipped))
     n_weights = 2 * p_r.size   # a response and a treatment weight per row
 
     return AceEstimate(
         mean_treated=means[1], mean_control=means[0],
-        ace=means[1] - means[0], n=n, n_observed=int(obs.sum()),
+        ace=means[1] - means[0], n=n, n_observed=rows.size,
         clipped_fraction=(n_clipped / n_weights if n_weights else 0.0),
         method=method)
 

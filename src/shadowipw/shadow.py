@@ -13,12 +13,17 @@ mean-zero moment conditions
 
 where h_j = z_j for j = 1..k, and the last h is either the sample mean of
 the treatment (mode "a_mean") or the per-row treatment (mode "a_row").
-Rows with R = 0 contribute -h_j, so only observed outcomes are used. The
-treatment is the shadow variable: it enters the last equation only.
+Rows with R = 0 contribute the constant -h_j, so only observed outcomes
+are used: the equations are set up once per solve on the respondents' rows,
+with the non-respondents' h summed into one constant. The treatment is the
+shadow variable: it enters the last equation only.
 
-The root is found by damped Newton from zero. A solve that stalls short of
-the tolerance returns its last accepted iterate, flagged as not converged,
-so a caller sees the degenerate solve rather than a number.
+The root is found by damped Newton from zero. A respondent's h is weighed
+by w = 1/p - 1, and p = expit(u) with u linear in (beta, gamma), so
+dw/du = -w: the Jacobian reuses the w of the accepted iterate, and each
+candidate step costs one propensity evaluation. A solve that stalls short
+of the tolerance returns its last accepted iterate, flagged as not
+converged, so a caller sees the degenerate solve rather than a number.
 """
 
 from __future__ import annotations
@@ -125,63 +130,55 @@ def reconstruct_propensity_from_joint(joint) -> np.ndarray:
     return or_blend(pi0[None, :], eta)
 
 
-def _design(ds: Dataset, model_adjustment):
-    if not model_adjustment:
-        return np.empty((ds.n_rows, 0))
-    return np.column_stack([ds.column(z) for z in model_adjustment])
+class _Moments:
+    """The estimating equations on the respondents' rows, set up once per
+    solve. A row with R = 0 adds the constant -h, summed into
+    ``h_missing``; each of the m respondents carries a column of
+    ``Ut = [Z; -(y - y_ref)]``, whose product with theta = (beta, gamma) is
+    the logit of p, and of ``Ht = [Z; h_last]``. Both are (k+1) x m."""
 
+    def __init__(self, ds: Dataset, adjustment, h_mode, y_ref=Y_REF):
+        roles = ds.roles
+        for z in adjustment:
+            if z not in roles.covariates:
+                raise ShadowError(f"adjustment column {z!r} is not a covariate")
+        if h_mode not in H_MODES:
+            raise ShadowError(f"unknown h mode {h_mode!r}")
+        r = ds.column(roles.response)
+        rows = np.flatnonzero(r)
+        a = ds.column(roles.treatment)
+        h = [ds.column(z) for z in adjustment]
+        h.append(np.full(ds.n_rows, np.mean(a)) if h_mode == H_MODE_A_MEAN
+                 else a)
+        self.Ht = np.stack([c.take(rows) for c in h])
+        self.Ut = self.Ht.copy()
+        self.Ut[-1] = y_ref - ds.column(roles.outcome).take(rows)
+        missing = 1.0 - r
+        self.h_missing = np.array([missing @ c for c in h])
+        self.n = ds.n_rows
 
-def _moment_pieces(ds: Dataset, adjustment, h_mode):
-    roles = ds.roles
-    for z in adjustment:
-        if z not in roles.covariates:
-            raise ShadowError(f"adjustment column {z!r} is not a covariate")
-    if h_mode not in H_MODES:
-        raise ShadowError(f"unknown h mode {h_mode!r}")
-    r = ds.column(roles.response)
-    y = np.nan_to_num(ds.column(roles.outcome))  # y enters only where r == 1
-    Z = _design(ds, adjustment)
-    a = ds.column(roles.treatment)
-    if h_mode == H_MODE_A_MEAN:
-        h_last = np.full(ds.n_rows, float(np.mean(a)))
-    else:
-        h_last = a
-    H = np.column_stack([Z, h_last])
-    return r, y, Z, H
+    def weights(self, theta) -> np.ndarray:
+        """w = 1/p - 1 on the respondents at theta."""
+        u = np.clip(theta @ self.Ut, -_SAT, _SAT)
+        return 1.0 / np.clip(expit(u), _P_MIN, _P_MAX) - 1.0
 
+    def residuals(self, w) -> np.ndarray:
+        return (self.Ht @ w - self.h_missing) / self.n
 
-def _fitted_p(theta, y, Z):
-    k = Z.shape[1]
-    beta, gamma = theta[:k], theta[k]
-    # logistic form of the factorization: p = expit(beta.z - gamma*(y - y_ref))
-    u = np.clip(Z @ beta - gamma * y, -_SAT, _SAT)
-    return np.clip(expit(u), _P_MIN, _P_MAX)
-
-
-def _residuals(theta, r, y, Z, H):
-    p = _fitted_p(theta, y, Z)
-    w = np.where(r == 1.0, 1.0 / p - 1.0, -1.0)
-    return H.T @ w / r.size
-
-
-def _jacobian(theta, r, y, Z, H):
-    p = _fitted_p(theta, y, Z)
-    # d(1/p)/d(theta) = -(1-p)/p * du/d(theta); rows with r == 0 are constant
-    c = np.where(r == 1.0, -(1.0 - p) / p, 0.0)
-    dU = np.column_stack([Z, -y])
-    return H.T @ (dU * c[:, None]) / r.size
+    def jacobian(self, w) -> np.ndarray:
+        # d(1/p - 1)/du = -(1/p - 1); the rows with R = 0 are constant
+        return -(self.Ht * w) @ self.Ut.T / self.n
 
 
 def moment_residuals(ds: Dataset, model: ShadowPropensityModel,
                      h_mode: str = H_MODE_A_MEAN) -> np.ndarray:
     """Empirical means of the k+1 estimating equations at the model's
     parameters (with the model's y_ref folded in)."""
-    r, y, Z, H = _moment_pieces(ds, model.adjustment, h_mode)
-    if model.degenerate:
-        w = np.where(r == 1.0, 0.0, -1.0)
-        return H.T @ w / r.size
-    theta = np.append(model.beta, model.gamma)
-    return _residuals(theta, r, y - model.y_ref, Z, H)
+    moments = _Moments(ds, model.adjustment, h_mode, model.y_ref)
+    if model.degenerate:   # p = 1: respondents add nothing
+        return moments.residuals(np.zeros(moments.Ut.shape[1]))
+    return moments.residuals(
+        moments.weights(np.append(model.beta, model.gamma)))
 
 
 def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
@@ -198,18 +195,19 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     constant one half and the single moment condition pins gamma.
     """
     adjustment = tuple(Z)
-    r, y, Zm, H = _moment_pieces(ds, adjustment, h_mode)
-    y = y - Y_REF
-    k = Zm.shape[1]
-    if (r == 1.0).all():
+    moments = _Moments(ds, adjustment, h_mode)
+    k = len(adjustment)
+    m = moments.Ut.shape[1]
+    if m == moments.n:
         warnings.warn("all outcomes observed; returning the trivial "
                       "propensity model (p = 1)", stacklevel=2)
         return ShadowPropensityModel.trivial(adjustment)
-    if (r == 0.0).all():
+    if m == 0:
         raise ShadowError("no observed outcomes; propensity is not estimable")
 
     theta = np.zeros(k + 1)
-    res = _residuals(theta, r, y, Zm, H)
+    w = moments.weights(theta)
+    res = moments.residuals(w)
     iterations = 0
     stalled = False
     for iterations in range(1, MAX_ITER + 1):
@@ -217,16 +215,17 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
             iterations -= 1
             break
         try:
-            step = np.linalg.solve(_jacobian(theta, r, y, Zm, H), -res)
+            step = np.linalg.solve(moments.jacobian(w), -res)
         except np.linalg.LinAlgError:
             stalled = True
             break
         norm0 = np.linalg.norm(res)
         for _ in range(21):
             cand = theta + step
-            cand_res = _residuals(cand, r, y, Zm, H)
+            cand_w = moments.weights(cand)
+            cand_res = moments.residuals(cand_w)
             if np.linalg.norm(cand_res) < norm0:
-                theta, res = cand, cand_res
+                theta, w, res = cand, cand_w, cand_res
                 break
             step = step / 2.0
         else:

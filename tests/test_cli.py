@@ -245,6 +245,18 @@ class TestLibraryErrors:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_non_utf8_file_is_named_with_the_byte_offset(self, tmp_path,
+                                                         runner):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=1, name="t.csv")
+        raw = csv.read_bytes()
+        offset = raw.rindex(b"\n", 0, len(raw) - 1) + 1   # last row's start
+        csv.write_bytes(raw[:offset] + b"\xe9" + raw[offset + 1:])
+        result = runner.invoke(main, ["pipeline", str(csv), *ROLE_FLAGS])
+        assert result.exit_code == 1
+        assert (f"Error: {csv} is not UTF-8: byte 0xe9 at offset {offset} "
+                "cannot be decoded") in result.output
+        assert "Traceback" not in result.output
+
 
 class TestArgumentChecks:
     """Every command rejects a test level outside (0, 1), clip bounds

@@ -190,7 +190,8 @@ def format_cell(value: float) -> str:
     value = float(value)
     if math.isnan(value):
         return ""
-    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
+    if (math.isfinite(value) and value == int(value) and abs(value) < 1e15
+            and repr(value) != "-0.0"):
         return str(int(value))
     return repr(value)
 
@@ -209,8 +210,7 @@ class TestWriteCsv:
         assert data._format_column(values) == [format_cell(v) for v in values]
 
     def test_round_trip_is_bit_exact_at_scale(self, tmp_path):
-        # every kind of value a column can hold, except -0.0, which the
-        # writer's integer rule writes as 0
+        # every kind of value a column can hold
         rng = np.random.default_rng(8)
         n = 100_000
         y = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
@@ -218,8 +218,7 @@ class TestWriteCsv:
         columns = {
             "A": rng.integers(0, 2, n).astype(float), "Y": y,
             "R": (~np.isnan(y)).astype(float),
-            "I": rng.choice([e for e in EDGES
-                             if not math.isnan(e) and repr(e) != "-0.0"], n),
+            "I": rng.choice([e for e in EDGES if not math.isnan(e)], n),
             "W1": rng.integers(-10**16, 10**16, n).astype(float),
             "W2": rng.normal(size=n) * 1e-310,
         }
@@ -311,6 +310,17 @@ class TestSubsetObserved:
         once = subset_observed(ds)
         twice = subset_observed(once)
         assert once.equals(twice)
+
+    def test_equals_the_mask_subset_oracle_columns_included(self):
+        ds = generate(default_config(n=2000, seed=4))
+        sub = subset_observed(ds)
+        want = ds.take(ds.column("R") == 1.0)
+        assert sub.names == want.names
+        assert sub.oracle_names == want.oracle_names == ds.oracle_names
+        assert sub.roles == want.roles
+        for name in ds.names:
+            assert sub.column(name).tobytes() == want.column(name).tobytes()
+        assert subset_observed(sub).equals(sub)
 
     def test_empty_result_permitted_but_flagged(self):
         ds = toy_dataset(y=(np.nan, np.nan, np.nan, np.nan))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from shadowipw import shadow
 from shadowipw.data import Dataset, RoleMap
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               ShadowPropensityModel, ShadowError,
@@ -162,6 +163,70 @@ class TestMomentResiduals:
         w[r == 1.0] = 1.0 / p - 1.0
         a_bar = ds.column("A").mean()
         assert res[-1] == pytest.approx(a_bar * w.mean(), rel=1e-12)
+
+
+def full_row_residuals(ds, Z, h_mode, theta, y_ref=0.0):
+    """The estimating equations written over all n rows, as in the paper:
+    mean of (R / p - 1) * h, with p = expit(beta.z - gamma * (y - y_ref))."""
+    r = ds.column("R")
+    y = np.nan_to_num(ds.column("Y")) - y_ref
+    Zm = np.column_stack([ds.column(z) for z in Z])
+    a = ds.column("A")
+    h_last = np.full(ds.n_rows, a.mean()) if h_mode == H_MODE_A_MEAN else a
+    H = np.column_stack([Zm, h_last])
+    p = expit(Zm @ theta[:-1] - theta[-1] * y)
+    return H.T @ np.where(r == 1.0, 1.0 / p - 1.0, -1.0) / ds.n_rows
+
+
+class TestRespondentMoments:
+    """The moments kept on respondents' rows only agree with the full-row
+    equations they replace."""
+
+    Z = ("Z1", "Z2", "Z3")
+
+    @pytest.mark.parametrize("h_mode", [H_MODE_A_MEAN, H_MODE_A_ROW])
+    def test_residuals_match_full_rows_at_random_parameters(self, h_mode):
+        ds, _ = shadow_dataset([0.5, -0.3, 0.2], gamma=-0.7, n=5000, seed=21)
+        moments = shadow._Moments(ds, self.Z, h_mode)
+        rng = np.random.default_rng(22)
+        for theta in rng.normal(size=(10, 4)):
+            got = moments.residuals(moments.weights(theta))
+            want = full_row_residuals(ds, self.Z, h_mode, theta)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("h_mode", [H_MODE_A_MEAN, H_MODE_A_ROW])
+    def test_jacobian_matches_central_differences(self, h_mode):
+        ds, _ = shadow_dataset([0.5, -0.3, 0.2], gamma=-0.7, n=5000, seed=23)
+        moments = shadow._Moments(ds, self.Z, h_mode)
+        rng = np.random.default_rng(24)
+        step = 1e-6
+        for theta in rng.normal(scale=0.5, size=(5, 4)):
+            jac = moments.jacobian(moments.weights(theta))
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = step
+                diff = (moments.residuals(moments.weights(theta + e))
+                        - moments.residuals(moments.weights(theta - e)))
+                assert jac[:, j] == pytest.approx(diff / (2 * step),
+                                                  rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("h_mode", [H_MODE_A_MEAN, H_MODE_A_ROW])
+    def test_moment_residuals_fold_in_a_nonzero_y_ref(self, h_mode):
+        ds, _ = shadow_dataset([0.4, 0.1, -0.2], gamma=-0.9, n=4000, seed=25)
+        theta = np.array([0.3, -0.2, 0.5, -1.1])
+        m = model(theta[:3], theta[3], y_ref=0.75, names=self.Z)
+        got = moment_residuals(ds, m, h_mode)
+        want = full_row_residuals(ds, self.Z, h_mode, theta, y_ref=0.75)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+        # the same as a reference of zero on the outcome shifted by y_ref
+        cols = {n: ds.column(n) for n in ds.names}
+        cols["Y"] = cols["Y"] - 0.75
+        shifted = moment_residuals(Dataset(cols, ds.roles),
+                                   model(theta[:3], theta[3], names=self.Z),
+                                   h_mode)
+        assert got == pytest.approx(shifted, rel=1e-12, abs=1e-15)
+        assert not np.allclose(got, moment_residuals(
+            ds, model(theta[:3], theta[3], names=self.Z), h_mode))
 
 
 class TestSolvePropensity:
