@@ -73,12 +73,17 @@ class ConditionRecord:
 
 
 def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
-                  observed: Dataset | None = None) -> ConditionRecord:
+                  observed: Dataset | None = None,
+                  null_fits: dict | None = None) -> ConditionRecord:
     """Test one row of ``CONDITIONS`` for witness W (None for a row that
     tests a role) and adjustment set Z.
 
     ``observed`` is ``subset_observed(ds)``, for a caller that runs many
     respondents-only tests on one dataset and slices its respondents once.
+    ``null_fits`` is a dict, keyed on ``(condition, Z)``, that holds the
+    null fits of earlier calls on ``ds``, for a caller that tests many
+    witnesses against one Z: the null design does not involve the witness,
+    and a fit found there is the one this call would compute.
     """
     cond = CONDITIONS[condition]
     roles = ds.roles
@@ -102,7 +107,10 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
             + [rows.column(z) for z in Z])
     added = rows.column(W if cond.added is None else getattr(roles, cond.added))
     n = endpoint.size
-    null_fit = fit_glm(endpoint, design_matrix(n, *base))
+    null_fits = {} if null_fits is None else null_fits
+    if (condition, Z) not in null_fits:
+        null_fits[condition, Z] = fit_glm(endpoint, design_matrix(n, *base))
+    null_fit = null_fits[condition, Z]
     # start the full fit at the null optimum with the added coefficient at 0;
     # under the null hypothesis that is a few steps from the full optimum
     full_fit = fit_glm(endpoint, design_matrix(n, *base, added),
@@ -123,14 +131,16 @@ def test_c2(ds: Dataset, Z, alpha: float,
     return run_condition(C2, ds, None, Z, alpha, observed)
 
 
-def test_c3(ds: Dataset, W: str, Z, alpha: float) -> ConditionRecord:
+def test_c3(ds: Dataset, W: str, Z, alpha: float,
+            null_fits: dict | None = None) -> ConditionRecord:
     """Witness W must be associated with the response given Z."""
-    return run_condition(C3, ds, W, Z, alpha)
+    return run_condition(C3, ds, W, Z, alpha, null_fits=null_fits)
 
 
-def test_c4(ds: Dataset, W: str, Z, alpha: float) -> ConditionRecord:
+def test_c4(ds: Dataset, W: str, Z, alpha: float,
+            null_fits: dict | None = None) -> ConditionRecord:
     """Witness W must be independent of the response given treatment and Z."""
-    return run_condition(C4, ds, W, Z, alpha)
+    return run_condition(C4, ds, W, Z, alpha, null_fits=null_fits)
 
 
 def _check_adjustment(roles, W, Z):

@@ -71,13 +71,17 @@ class Dataset:
         outcome must be missing exactly where the response is 0
     oracle : names of columns carried for ground-truth evaluation only;
         they may not be referenced by any role
+    copy : False when every column is a fresh float array that the caller
+        hands over and keeps no reference to; it is then used as it is
     """
 
-    def __init__(self, columns, roles: RoleMap, oracle=()):
+    def __init__(self, columns, roles: RoleMap, oracle=(), *, copy=True):
         cols: dict[str, np.ndarray] = {}
         n_rows = None
         for name, values in columns.items():
-            arr = np.asarray(values, dtype=float).copy()
+            arr = np.asarray(values, dtype=float)
+            if copy:
+                arr = arr.copy()
             if arr.ndim != 1:
                 raise DataError(f"column {name!r} is not 1-dimensional")
             if n_rows is None:
@@ -138,8 +142,9 @@ class Dataset:
 
     def take(self, mask_or_index) -> "Dataset":
         """Row subset preserving roles and oracle flags."""
+        # a mask or index array gathers fresh arrays, which the subset owns
         cols = {n: a[mask_or_index] for n, a in self._columns.items()}
-        return Dataset(cols, self.roles, self._oracle)
+        return Dataset(cols, self.roles, self._oracle, copy=False)
 
     def equals(self, other: "Dataset") -> bool:
         if self.names != other.names:

@@ -1,12 +1,16 @@
 """Logistic regression and likelihood-ratio tests.
 
 This is the statistical engine behind the conditional-independence tests.
-Logistic fits use iteratively reweighted least squares with step-halving.
-As in R's ``glm.fit``, each iteration evaluates the log-likelihood once, at
-the candidate step, and carries it forward; a step is kept when it lowers
-the log-likelihood by no more than a bound scaled to |ll|, the rounding
-error of a sum over many rows. A fit may be warm-started, as the full fit
-of a likelihood-ratio test is from its null fit.
+Logistic fits use Newton's method (IRLS) with step-halving. With s = 2y-1
+the response's sign, one ``e = exp(-s*eta)`` per candidate gives the
+log-likelihood -sum log(1 + e), the residual y - mu = s*e/(1+e) and the
+weight mu(1-mu) = e/(1+e)^2; the accepted candidate's e and log-likelihood
+carry into the next iteration, so an iteration whose full step is kept
+evaluates exp once. The Newton step solves gram @ step = score. A step is
+kept when it lowers the log-likelihood by no more than a bound scaled to
+|ll|, the rounding error of a sum over many rows. A fit may be
+warm-started, as the full fit of a likelihood-ratio test is from its null
+fit.
 """
 
 from __future__ import annotations
@@ -91,24 +95,26 @@ def chi_square_sf(x: float, df: int) -> float:
     return q
 
 
-def _logistic_ll(y: np.ndarray, eta: np.ndarray) -> float:
-    # sum y*eta - log(1 + exp(eta)); the softplus is written in a form that
-    # is stable at both tails
-    softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-    return float(y @ eta - np.sum(softplus))
-
-
-def _linear_predictor(beta, Xt):
-    return np.clip(beta @ Xt, -500.0, 500.0)
+def _evaluate(beta, Xt, neg_s):
+    # the linear predictor at beta, clipped to [-500, 500], and with it
+    # e = exp(-s*eta), s = 2y-1 the response's sign, and the log-likelihood
+    # -sum log(1 + e): one exp serves the likelihood, the score and the
+    # weights. e is at most exp(500), so nothing overflows.
+    eta = beta @ Xt
+    np.maximum(eta, -500.0, out=eta)
+    np.minimum(eta, 500.0, out=eta)
+    e = np.exp(neg_s * eta)
+    return eta, e, -float(np.sum(np.log1p(e)))
 
 
 def _fit_logistic(y, Xt, start):
     # Xt is the design transposed (p x n, C-contiguous): one row per
     # coefficient, so every product below runs over contiguous rows
     p = Xt.shape[0]
+    s = 2.0 * y - 1.0
+    neg_s = -s
     beta = np.zeros(p) if start is None else start
-    eta = _linear_predictor(beta, Xt)
-    ll = _logistic_ll(y, eta)
+    eta, e, ll = _evaluate(beta, Xt, neg_s)
     rank_deficient = False
     # a constant response has its maximum at infinite coefficients; the
     # iterations below stop at a finite capped iterate, so flag it up front
@@ -116,18 +122,20 @@ def _fit_logistic(y, Xt, start):
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        mu = expit(eta)
-        score = Xt @ (y - mu)
+        # with q = 1/(1+e) the fitted probability of the observed response,
+        # y - mu = s*e*q and mu*(1-mu) = e*q*q
+        q = 1.0 / (1.0 + e)
+        r = e * q
+        resid = s * r
+        score = Xt @ resid
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum
         if iterations > 1 and np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        z = eta + (y - mu) / w
-        Xw = Xt * w
-        gram = Xw @ Xt.T
+        w = np.maximum(r * q, 1e-10)
+        gram = (Xt * w) @ Xt.T
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
@@ -136,22 +144,22 @@ def _fit_logistic(y, Xt, start):
             rank_deficient = bool(eig[0] <= rounding)
         if not rank_deficient:
             try:
-                solution = np.linalg.solve(gram, Xw @ z)
+                step = np.linalg.solve(gram, score)
             except np.linalg.LinAlgError:
                 rank_deficient = True
         if rank_deficient:
-            # singular gram matrix: use the minimum-norm solution
+            # singular gram matrix: the minimum-norm solution of the
+            # weighted least-squares problem for the working response z
             sw = np.sqrt(w)
-            solution = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0]
+            z = eta + resid / w
+            step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
         # step-halving: never accept a step that decreases the likelihood by
         # more than the rounding error of its sum over rows, which grows
         # with |ll|
         floor = ll - 1e-12 * max(1.0, abs(ll))
-        step = solution - beta
         for _ in range(20):
             cand = beta + step
-            eta_cand = _linear_predictor(cand, Xt)
-            ll_cand = _logistic_ll(y, eta_cand)
+            eta_cand, e_cand, ll_cand = _evaluate(cand, Xt, neg_s)
             if ll_cand >= floor:
                 break
             step = step / 2.0
@@ -159,7 +167,7 @@ def _fit_logistic(y, Xt, start):
             # no checked step keeps the likelihood, so none is applied
             iterations -= 1
             break
-        beta, eta, ll = cand, eta_cand, ll_cand
+        beta, eta, e, ll = cand, eta_cand, e_cand, ll_cand
         if np.linalg.norm(beta) > SEPARATION_NORM:
             separated = True
             break
@@ -173,9 +181,11 @@ def fit_glm(y, X, start=None) -> GlmFit:
     """Logistic fit of a 0/1 response y on the design matrix X (intercept
     column included by caller).
 
-    The fit runs IRLS until the score max-norm drops below ``TOL``.
-    Each iteration evaluates the log-likelihood once, at the candidate
-    step, and carries it forward. A step is halved (up to 20 times) while
+    The fit takes Newton steps, the solution of ``gram @ step = score``
+    with ``gram = X' W X``, until the score max-norm drops below ``TOL``.
+    Each candidate evaluates one ``exp(-s*eta)``, s = 2y-1, from which
+    come its log-likelihood and, once it is accepted, the next score and
+    weights. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
     a bound scaled to the rounding error of a sum over many rows; if no
     halving passes, the fit stops where it is. Coefficient L2 norm above
@@ -183,8 +193,8 @@ def fit_glm(y, X, start=None) -> GlmFit:
     (the capped likelihood is still reported so downstream tests keep
     running). A design is flagged rank deficient when the smallest
     eigenvalue of its weighted gram matrix is within ``n * eps`` of the
-    largest, or the gram cannot be solved; such fits use the minimum-norm
-    solution.
+    largest, or the gram cannot be solved; such fits take the minimum-norm
+    least-squares solution for the working response instead.
 
     ``start`` gives initial coefficients (default zeros), such as
     a nested fit's coefficients with zeros appended. It only saves
@@ -205,7 +215,7 @@ def fit_glm(y, X, start=None) -> GlmFit:
         if start.shape != (p,) or not np.isfinite(start).all():
             raise GlmError(f"start must hold {p} finite coefficients, "
                            f"got shape {start.shape}")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise GlmError("logistic regression requires a 0/1 response")
     # free when X is column-major, as design_matrix builds it
     Xt = np.ascontiguousarray(X.T)

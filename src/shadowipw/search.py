@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import citest
 from .citest import C1, C2, C3, C4, CONDITIONS, ConditionRecord
 from .data import Dataset, RoleMap
-from .glm import CiTestResult
+from .glm import CiTestResult, GlmFit
 from .graphs import Dag
 
 FOUND = "found"
@@ -60,13 +60,16 @@ class LrtTester:
     C2 does not involve the witness, so its result is memoized per
     adjustment set; the search revisits the same Z under different
     witnesses on exhaustive runs. C2's respondent rows are sliced once, at
-    the first C2 test.
+    the first C2 test. For the same reason the null fits of C3 (R ~ Z) and
+    C4 (R ~ A + Z) are kept per (condition, Z), so each is fitted once.
+    Both memos live as long as the tester, one search.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
         self._observed: Dataset | None = None
         self._c2_memo: dict[tuple, ConditionRecord] = {}
+        self._null_fits: dict[tuple, GlmFit] = {}
 
     def __call__(self, condition, W, Z, alpha):
         if condition == C1:
@@ -74,8 +77,8 @@ class LrtTester:
         if condition == C2:
             return self.c2(Z, alpha)
         if condition == C3:
-            return citest.test_c3(self.ds, W, Z, alpha)
-        return citest.test_c4(self.ds, W, Z, alpha)
+            return citest.test_c3(self.ds, W, Z, alpha, self._null_fits)
+        return citest.test_c4(self.ds, W, Z, alpha, self._null_fits)
 
     def c2(self, Z, alpha):
         key = (tuple(Z), alpha)

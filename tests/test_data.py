@@ -280,6 +280,23 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.column("A")[0] = 0.0
 
+    def test_columns_are_copied_from_the_caller(self):
+        cols = toy_columns()
+        ds = Dataset(cols, ROLES)
+        for name in ds.names:
+            assert not np.shares_memory(ds.column(name), cols[name])
+
+    def test_taken_columns_are_owned_and_immutable(self):
+        ds = generate(default_config(n=200, seed=2))
+        for sub in (ds.take(np.flatnonzero(ds.column("R"))),
+                    ds.take(ds.column("R") == 1.0), subset_observed(ds)):
+            for name in ds.names:
+                col = sub.column(name)
+                assert not np.shares_memory(col, ds.column(name))
+                assert not col.flags.writeable
+                with pytest.raises(ValueError):
+                    col[0] = 0.0
+
     def test_roles_must_reference_distinct_columns(self):
         with pytest.raises(DataError, match="distinct"):
             RoleMap("A", "A", "R", "I", ("W1",))

@@ -135,6 +135,54 @@ class TestLogisticFit:
         fit = fit_glm(y, design_matrix(300, x, x))   # duplicated column
         assert fit.rank_deficient
 
+    def test_duplicated_column_gets_the_minimum_norm_solution(self):
+        # the minimum-norm optimum splits the single column's coefficient
+        # evenly over its two copies
+        rng = np.random.default_rng(9)
+        n = 300
+        x = rng.normal(size=n)
+        y = (rng.uniform(size=n) < expit(0.3 + x)).astype(float)
+        single = fit_glm(y, design_matrix(n, x))
+        fit = fit_glm(y, design_matrix(n, x, x))
+        assert fit.rank_deficient and fit.converged and not fit.separated
+        assert fit.coefficients[1] == pytest.approx(fit.coefficients[2],
+                                                    rel=1e-9)
+        assert fit.coefficients == pytest.approx(
+            [single.coefficients[0], *(single.coefficients[1] / 2,) * 2],
+            rel=1e-7)
+        assert fit.log_likelihood == pytest.approx(single.log_likelihood,
+                                                   rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["separated", "separated_x1000",
+                                      "constant_one", "constant_zero"])
+    def test_degenerate_fit_flags(self, case):
+        # (converged, separated, rank_deficient) as the kernel gave them when
+        # it evaluated two exps per iteration; a duplicated column is pinned
+        # by test_duplicated_column_gets_the_minimum_norm_solution
+        n = 300
+        x = np.random.default_rng(0).normal(size=n)
+        y = (x > 0).astype(float)
+        X = design_matrix(n, x)
+        if case == "separated_x1000":
+            # on x*1000 the coefficient norm stays below SEPARATION_NORM
+            # for all MAX_ITER iterations, so separation goes unflagged;
+            # the fit still does not converge
+            X = design_matrix(n, x * 1000)
+        elif case == "constant_one":
+            y = np.ones(n)
+        elif case == "constant_zero":
+            y = np.zeros(n)
+        want = {"separated": (False, True, False),
+                "separated_x1000": (False, False, False),
+                "constant_one": (False, True, False),
+                "constant_zero": (False, True, False)}[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_glm(y, X)
+        assert (fit.converged, fit.separated, fit.rank_deficient) == want
+        assert math.isfinite(fit.log_likelihood)
+        assert fit.log_likelihood <= 0.0
+
     def test_rejects_missing_values(self):
         y = np.array([0.0, 1.0, np.nan])
         with pytest.raises(GlmError):
@@ -156,13 +204,13 @@ class TestLogisticFit:
         # whose full Newton steps are all kept evaluates it once at the
         # start and once per iteration
         calls = []
-        original = glm._logistic_ll
+        original = glm._evaluate
 
-        def counting(y, eta):
+        def counting(beta, Xt, neg_s):
             calls.append(1)
-            return original(y, eta)
+            return original(beta, Xt, neg_s)
 
-        monkeypatch.setattr(glm, "_logistic_ll", counting)
+        monkeypatch.setattr(glm, "_evaluate", counting)
         rng = np.random.default_rng(11)
         n = 5000
         X = design_matrix(n, rng.normal(size=n), rng.normal(size=n))

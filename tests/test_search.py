@@ -52,19 +52,35 @@ class TestLrtSearch:
         assert a == b
 
     def test_trail_is_replayable(self, base_ds_small):
-        outcome = find_adjustment_set(base_ds_small, ALPHA)
-        runners = {"C1": lambda rec: citest.test_c1(base_ds_small, ALPHA),
-                   "C2": lambda rec: citest.test_c2(base_ds_small,
-                                                    rec.adjustment, ALPHA),
-                   "C3": lambda rec: citest.test_c3(base_ds_small, rec.witness,
-                                                    rec.adjustment, ALPHA),
-                   "C4": lambda rec: citest.test_c4(base_ds_small, rec.witness,
-                                                    rec.adjustment, ALPHA)}
-        for rec in outcome.trail:
-            if rec.error is not None:
-                continue
-            replay = runners[rec.condition](rec)
-            assert replay.result.p_value == rec.result.p_value
+        # every record equals a fresh, uncached citest call bit for bit. The
+        # exhaustive hide_w4 search revisits each Z under several witnesses,
+        # so there the tester's memos answer many of its C2 tests and C3/C4
+        # null fits.
+        exhaustive = generate(default_config(n=2500, seed=8,
+                                             scenario="hide_w4"))
+        for ds in (base_ds_small, exhaustive):
+            tester = LrtTester(ds)
+            outcome = find_adjustment_set(ds, ALPHA, tester=tester)
+            runners = {"C1": lambda rec: citest.test_c1(ds, ALPHA),
+                       "C2": lambda rec: citest.test_c2(ds, rec.adjustment,
+                                                        ALPHA),
+                       "C3": lambda rec: citest.test_c3(ds, rec.witness,
+                                                        rec.adjustment, ALPHA),
+                       "C4": lambda rec: citest.test_c4(ds, rec.witness,
+                                                        rec.adjustment, ALPHA)}
+            for rec in outcome.trail:
+                if rec.error is not None:
+                    with pytest.raises(ValueError) as raised:
+                        runners[rec.condition](rec)
+                    assert str(raised.value) == rec.error
+                    continue
+                replay = runners[rec.condition](rec)
+                assert replay.result.statistic == rec.result.statistic
+                assert replay.result.p_value == rec.result.p_value
+        null_tests = sum(rec.condition in ("C3", "C4") and rec.error is None
+                         for rec in outcome.trail)
+        assert outcome.status == NOT_FOUND
+        assert len(tester._null_fits) < null_tests
 
     def test_tests_run_matches_trail_and_bound(self):
         ds = generate(default_config(n=2500, seed=8, scenario="hide_w4"))
