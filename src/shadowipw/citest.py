@@ -16,6 +16,29 @@ condition requires:
 test; the search's d-separation oracle reads the same rows as graph
 queries. A condition "passes" when the observed verdict matches the
 required one at level alpha.
+
+A test fits two designs, null and full. A design lists the row's given
+roles, then its covariates in ``roles.covariates`` order whatever order Z
+arrives in, then, for C1 and C2, the tested role last; C3's and C4's
+witness is one more covariate. A fit is keyed on ``(respondents_only,
+endpoint, design)``, so C3's full design at (W, Z) is its null design at
+Z + W, and C1's null R ~ 1 is C3's null at Z = (). Each design starts from
+a start that depends on the design alone, so a fit is the same whichever
+test asks for it first:
+
+  (a) no covariates and no tested role (R ~ 1, R ~ A, A ~ Y): zeros;
+  (b) with the tested role: its null fit, with the role's coefficient 0;
+  (c) C3 and C4, with covariates: the reference fit, the given roles plus
+      every covariate fitted from zeros, restricted to the design's
+      columns; zeros if the reference raises, does not converge (a
+      separated fit does not) or is rank deficient. The reference is the
+      full design of the search's first witness at its last candidate;
+  (d) C2, with covariates: the fit of the design without its last
+      covariate, that covariate's coefficient 0; zeros if that fit did not
+      converge. A search tests every shorter prefix before it.
+
+Rule (c) is not used for C2 because C2's reference always holds the
+witness the search excludes, so it would be a fit no test needs.
 """
 
 from __future__ import annotations
@@ -74,16 +97,17 @@ class ConditionRecord:
 
 def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
                   observed: Dataset | None = None,
-                  null_fits: dict | None = None) -> ConditionRecord:
+                  fits: dict | None = None) -> ConditionRecord:
     """Test one row of ``CONDITIONS`` for witness W (None for a row that
     tests a role) and adjustment set Z.
 
     ``observed`` is ``subset_observed(ds)``, for a caller that runs many
     respondents-only tests on one dataset and slices its respondents once.
-    ``null_fits`` is a dict, keyed on ``(condition, Z)``, that holds the
-    null fits of earlier calls on ``ds``, for a caller that tests many
-    witnesses against one Z: the null design does not involve the witness,
-    and a fit found there is the one this call would compute.
+    ``fits`` is a dict of the fits of earlier calls on ``ds``, for a caller
+    that runs many tests on one dataset, such as a search; every design is
+    fitted from a start that depends on the design alone (see the module
+    docstring), so a fit found there is the one this call would compute.
+    The record keeps Z in the caller's order.
     """
     cond = CONDITIONS[condition]
     roles = ds.roles
@@ -103,50 +127,111 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
         raise DegenerateDataError(f"no rows available for endpoint {name!r}")
     if endpoint.min() == endpoint.max():
         raise DegenerateDataError(f"endpoint column {name!r} is constant")
-    base = ([rows.column(getattr(roles, g)) for g in cond.given]
-            + [rows.column(z) for z in Z])
-    added = rows.column(W if cond.added is None else getattr(roles, cond.added))
-    n = endpoint.size
-    null_fits = {} if null_fits is None else null_fits
-    if (condition, Z) not in null_fits:
-        null_fits[condition, Z] = fit_glm(endpoint, design_matrix(n, *base))
-    null_fit = null_fits[condition, Z]
-    # start the full fit at the null optimum with the added coefficient at 0;
-    # under the null hypothesis that is a few steps from the full optimum
-    full_fit = fit_glm(endpoint, design_matrix(n, *base, added),
-                       start=np.append(null_fit.coefficients, 0.0))
+    given = tuple(getattr(roles, g) for g in cond.given)
+    null = given + tuple(c for c in roles.covariates if c in Z)
+    if cond.added is None:
+        full = given + tuple(c for c in roles.covariates if c in Z or c == W)
+    else:
+        full = null + (getattr(roles, cond.added),)
+    fits = {} if fits is None else fits
+    null_fit = _design_fit(fits, rows, cond, null)
+    full_fit = _design_fit(fits, rows, cond, full)
     return ConditionRecord(condition, W, Z,
                            likelihood_ratio_test(null_fit, full_fit, alpha))
 
 
-def test_c1(ds: Dataset, alpha: float) -> ConditionRecord:
+def _design_fit(fits: dict, rows: Dataset, cond: Condition, design):
+    """The fit of ``cond``'s endpoint on ``design`` (column names after the
+    intercept): from ``fits``, or fitted from the design's start and stored
+    there under ``(respondents_only, endpoint, design)``."""
+    key = (cond.respondents_only, getattr(rows.roles, cond.endpoint), design)
+    if key not in fits:
+        fits[key] = _fit(rows, key, _start(fits, rows, cond, design))
+    return fits[key]
+
+
+def _fit(rows: Dataset, key, start):
+    _, name, design = key
+    y = rows.column(name)
+    return fit_glm(y, design_matrix(y.size, *map(rows.column, design)),
+                   start=start)
+
+
+def _start(fits: dict, rows: Dataset, cond: Condition, design):
+    # the start rules (a)-(d) of the module docstring; None means zeros
+    roles = rows.roles
+    given = len(cond.given)
+    tested = cond.added and getattr(roles, cond.added)
+    if design[-1:] == (tested,):
+        # (b): the tested role joins its null fit at 0
+        null_fit = _design_fit(fits, rows, cond, design[:-1])
+        return np.append(null_fit.coefficients, 0.0)
+    if len(design) == given:
+        return None                                               # (a)
+    if cond.added is None:
+        # (c): the reference, restricted to the design's columns
+        reference = design[:given] + roles.covariates
+        if design == reference:
+            return None
+        try:
+            ref = _design_fit(fits, rows, cond, reference)
+        except ValueError:
+            return None
+        if not ref.converged or ref.rank_deficient:
+            return None
+        keep = [*range(1 + given), *(1 + given + roles.covariates.index(c)
+                                     for c in design[given:])]
+        return ref.coefficients[keep]
+    # (d): the design without its last covariate, at 0. Each shorter
+    # prefix starts from the one before it, as its own rule (d) or (a)
+    # says; a loop, with no depth limit, fits those a search has not tested
+    only, name = cond.respondents_only, getattr(roles, cond.endpoint)
+    start = None
+    for j in range(given, len(design)):
+        key = (only, name, design[:j])
+        if key not in fits:
+            try:
+                fits[key] = _fit(rows, key, start)
+            except ValueError:
+                start = None
+                continue
+        prefix = fits[key]
+        start = (np.append(prefix.coefficients, 0.0) if prefix.converged
+                 else None)
+    return start
+
+
+def test_c1(ds: Dataset, alpha: float,
+            fits: dict | None = None) -> ConditionRecord:
     """Incentive must be associated with the response indicator."""
-    return run_condition(C1, ds, None, (), alpha)
+    return run_condition(C1, ds, None, (), alpha, fits=fits)
 
 
-def test_c2(ds: Dataset, Z, alpha: float,
-            observed: Dataset | None = None) -> ConditionRecord:
+def test_c2(ds: Dataset, Z, alpha: float, observed: Dataset | None = None,
+            fits: dict | None = None) -> ConditionRecord:
     """Treatment must be independent of the incentive given the outcome and
     Z among respondents."""
-    return run_condition(C2, ds, None, Z, alpha, observed)
+    return run_condition(C2, ds, None, Z, alpha, observed, fits)
 
 
 def test_c3(ds: Dataset, W: str, Z, alpha: float,
-            null_fits: dict | None = None) -> ConditionRecord:
+            fits: dict | None = None) -> ConditionRecord:
     """Witness W must be associated with the response given Z."""
-    return run_condition(C3, ds, W, Z, alpha, null_fits=null_fits)
+    return run_condition(C3, ds, W, Z, alpha, fits=fits)
 
 
 def test_c4(ds: Dataset, W: str, Z, alpha: float,
-            null_fits: dict | None = None) -> ConditionRecord:
+            fits: dict | None = None) -> ConditionRecord:
     """Witness W must be independent of the response given treatment and Z."""
-    return run_condition(C4, ds, W, Z, alpha, null_fits=null_fits)
+    return run_condition(C4, ds, W, Z, alpha, fits=fits)
 
 
 def _check_adjustment(roles, W, Z):
-    for z in Z:
+    for i, z in enumerate(Z):
         if z not in roles.covariates:
             raise GlmError(f"adjustment column {z!r} is not a covariate")
+        if z in Z[:i]:
+            raise GlmError(f"adjustment column {z!r} appears more than once")
     if W is not None:
         if W in Z:
             raise GlmError(f"witness {W!r} may not appear in the adjustment set")

@@ -9,8 +9,8 @@ carry into the next iteration, so an iteration whose full step is kept
 evaluates exp once. The Newton step solves gram @ step = score. A step is
 kept when it lowers the log-likelihood by no more than a bound scaled to
 |ll|, the rounding error of a sum over many rows. A fit may be
-warm-started, as the full fit of a likelihood-ratio test is from its null
-fit.
+warm-started; ``citest`` starts each design from a fit of a nested or a
+larger design (its start rules (a)-(d)).
 """
 
 from __future__ import annotations

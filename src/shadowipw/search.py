@@ -57,28 +57,31 @@ class SearchOutcome:
 class LrtTester:
     """Likelihood-ratio-test backend over a Dataset.
 
-    C2 does not involve the witness, so its result is memoized per
-    adjustment set; the search revisits the same Z under different
-    witnesses on exhaustive runs. C2's respondent rows are sliced once, at
-    the first C2 test. For the same reason the null fits of C3 (R ~ Z) and
-    C4 (R ~ A + Z) are kept per (condition, Z), so each is fitted once.
-    Both memos live as long as the tester, one search.
+    All four conditions share one memo of logistic fits, keyed on
+    ``(respondents_only, endpoint, design)`` as ``citest`` lists a design,
+    so each design the search needs is fitted once. A design's start
+    depends on the design alone (``citest``'s rules (a)-(d)), so a memo
+    hit is the fit an uncached ``citest`` call would compute, and the trail
+    replays bit for bit. C2 does not involve the witness, so its record is
+    also memoized per adjustment set, and its respondent rows are sliced
+    once, at the first C2 test. The memos live as long as the tester, one
+    search.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
         self._observed: Dataset | None = None
         self._c2_memo: dict[tuple, ConditionRecord] = {}
-        self._null_fits: dict[tuple, GlmFit] = {}
+        self._fits: dict[tuple, GlmFit] = {}
 
     def __call__(self, condition, W, Z, alpha):
         if condition == C1:
-            return citest.test_c1(self.ds, alpha)
+            return citest.test_c1(self.ds, alpha, self._fits)
         if condition == C2:
             return self.c2(Z, alpha)
         if condition == C3:
-            return citest.test_c3(self.ds, W, Z, alpha, self._null_fits)
-        return citest.test_c4(self.ds, W, Z, alpha, self._null_fits)
+            return citest.test_c3(self.ds, W, Z, alpha, self._fits)
+        return citest.test_c4(self.ds, W, Z, alpha, self._fits)
 
     def c2(self, Z, alpha):
         key = (tuple(Z), alpha)
@@ -86,7 +89,7 @@ class LrtTester:
             if self._observed is None:
                 self._observed = citest.subset_observed(self.ds)
             self._c2_memo[key] = citest.test_c2(self.ds, Z, alpha,
-                                                self._observed)
+                                                self._observed, self._fits)
         return self._c2_memo[key]
 
 

@@ -139,9 +139,12 @@ class _Moments:
 
     def __init__(self, ds: Dataset, adjustment, h_mode, y_ref=Y_REF):
         roles = ds.roles
-        for z in adjustment:
+        for i, z in enumerate(adjustment):
             if z not in roles.covariates:
                 raise ShadowError(f"adjustment column {z!r} is not a covariate")
+            if z in adjustment[:i]:
+                raise ShadowError(f"adjustment column {z!r} appears more "
+                                  f"than once")
         if h_mode not in H_MODES:
             raise ShadowError(f"unknown h mode {h_mode!r}")
         r = ds.column(roles.response)

@@ -96,7 +96,8 @@ class TestC2:
         n = base_ds_small.n_rows
         ds = _replace_columns(base_ds_small, {
             "R": np.zeros(n), "Y": np.full(n, np.nan)})
-        with pytest.raises(DegenerateDataError):
+        with pytest.warns(UserWarning, match="no rows with response == 1"), \
+                pytest.raises(DegenerateDataError):
             citest.test_c2(ds, Z_FULL, ALPHA)
 
     def test_null_pass_rate_with_randomized_treatment(self):
@@ -198,6 +199,31 @@ class TestRecordBehavior:
         first = citest.test_c2(base_ds_small, ("W2", "W3"), ALPHA)
         second = citest.test_c2(base_ds_small, ("W2", "W3"), ALPHA)
         assert first == second
+
+    @pytest.mark.parametrize("condition", ["C2", "C3", "C4"])
+    def test_adjustment_order_does_not_change_a_bit(self, base_ds_small,
+                                                    condition):
+        # a design lists its covariates in the roles' order, whatever order
+        # Z arrives in; the record keeps the caller's order
+        def run(Z):
+            if condition == "C2":
+                return citest.test_c2(base_ds_small, Z, ALPHA)
+            test = getattr(citest, f"test_{condition.lower()}")
+            return test(base_ds_small, "W1", Z, ALPHA)
+
+        forward, backward = run(Z_FULL), run(Z_FULL[::-1])
+        assert backward.result.statistic == forward.result.statistic
+        assert backward.result.p_value == forward.result.p_value
+        assert backward.adjustment == Z_FULL[::-1]
+
+    @pytest.mark.parametrize("condition", ["C2", "C3", "C4"])
+    def test_repeated_adjustment_column_is_rejected(self, base_ds_small,
+                                                    condition):
+        args = () if condition == "C2" else ("W1",)
+        test = getattr(citest, f"test_{condition.lower()}")
+        with pytest.raises(ValueError,
+                           match="adjustment column 'W2' appears more"):
+            test(base_ds_small, *args, ("W2", "W3", "W2"), ALPHA)
 
     def test_serialization_round_trip_keys(self, base_ds_small):
         record = citest.test_c1(base_ds_small, ALPHA)

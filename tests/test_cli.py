@@ -148,6 +148,14 @@ class TestEstimateCommand:
         assert report["response_propensity"]["converged"] is True
         assert np.isfinite(report["estimate"]["ace"])
 
+    def test_repeated_adjustment_column_exits_1(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=6)
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W2,W2"])
+        assert result.exit_code == 1
+        assert "adjustment column 'W2' appears more than once" in \
+            result.output
+
 
 class TestPipelineCommand:
     def test_success_path_produces_full_report(self, tmp_path, runner):

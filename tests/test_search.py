@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shadowipw import citest
-from shadowipw.citest import C1, ConditionRecord
+from shadowipw.citest import C1, C3, C4, ConditionRecord
 from shadowipw.data import Dataset, RoleMap
 from shadowipw.glm import CiTestResult
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
@@ -11,6 +11,26 @@ from shadowipw.simulate import (default_config, example_graph,
                                 generate, generate_example, scenario_graph)
 
 ALPHA = 0.05
+
+
+def assert_replays(ds, outcome):
+    """Every record of an LRT search equals a fresh, uncached citest call
+    bit for bit; an error record raises the same message again."""
+    runners = {"C1": lambda rec: citest.test_c1(ds, ALPHA),
+               "C2": lambda rec: citest.test_c2(ds, rec.adjustment, ALPHA),
+               "C3": lambda rec: citest.test_c3(ds, rec.witness,
+                                                rec.adjustment, ALPHA),
+               "C4": lambda rec: citest.test_c4(ds, rec.witness,
+                                                rec.adjustment, ALPHA)}
+    for rec in outcome.trail:
+        if rec.error is not None:
+            with pytest.raises(ValueError) as raised:
+                runners[rec.condition](rec)
+            assert str(raised.value) == rec.error
+            continue
+        replay = runners[rec.condition](rec)
+        assert replay.result.statistic == rec.result.statistic
+        assert replay.result.p_value == rec.result.p_value
 
 
 class TestLrtSearch:
@@ -51,36 +71,44 @@ class TestLrtSearch:
         b = find_adjustment_set(base_ds_small, ALPHA)
         assert a == b
 
-    def test_trail_is_replayable(self, base_ds_small):
+    def test_trail_is_replayable(self, base_ds_small, monkeypatch):
         # every record equals a fresh, uncached citest call bit for bit. The
         # exhaustive hide_w4 search revisits each Z under several witnesses,
-        # so there the tester's memos answer many of its C2 tests and C3/C4
-        # null fits.
+        # so there the tester's memos answer many of its C2 tests and fits.
         exhaustive = generate(default_config(n=2500, seed=8,
                                              scenario="hide_w4"))
-        for ds in (base_ds_small, exhaustive):
-            tester = LrtTester(ds)
-            outcome = find_adjustment_set(ds, ALPHA, tester=tester)
-            runners = {"C1": lambda rec: citest.test_c1(ds, ALPHA),
-                       "C2": lambda rec: citest.test_c2(ds, rec.adjustment,
-                                                        ALPHA),
-                       "C3": lambda rec: citest.test_c3(ds, rec.witness,
-                                                        rec.adjustment, ALPHA),
-                       "C4": lambda rec: citest.test_c4(ds, rec.witness,
-                                                        rec.adjustment, ALPHA)}
-            for rec in outcome.trail:
-                if rec.error is not None:
-                    with pytest.raises(ValueError) as raised:
-                        runners[rec.condition](rec)
-                    assert str(raised.value) == rec.error
-                    continue
-                replay = runners[rec.condition](rec)
-                assert replay.result.statistic == rec.result.statistic
-                assert replay.result.p_value == rec.result.p_value
-        null_tests = sum(rec.condition in ("C3", "C4") and rec.error is None
-                         for rec in outcome.trail)
+        outcome = find_adjustment_set(base_ds_small, ALPHA)
+        assert_replays(base_ds_small, outcome)
+        fits = []
+        original = citest.fit_glm
+        monkeypatch.setattr(citest, "fit_glm", lambda *args, **kwargs:
+                            fits.append(1) or original(*args, **kwargs))
+        tester = LrtTester(exhaustive)
+        outcome = find_adjustment_set(exhaustive, ALPHA, tester=tester)
+        monkeypatch.undo()
+        # each design is fitted once (50 fits before the design memo)
         assert outcome.status == NOT_FOUND
-        assert len(tester._null_fits) < null_tests
+        assert len(fits) == len(tester._fits) == 31
+        assert_replays(exhaustive, outcome)
+
+    def test_conditions_share_designs(self, base_ds_small, monkeypatch):
+        tested = []
+        original = citest.likelihood_ratio_test
+        monkeypatch.setattr(citest, "likelihood_ratio_test",
+                            lambda null, full, alpha: tested.append(
+                                (null, full)) or original(null, full, alpha))
+        tester = LrtTester(base_ds_small)
+        for condition, W, Z in [(C1, None, ()), (C3, "W2", ()),
+                                (C3, "W1", ("W3",)), (C3, "W4", ("W1", "W3")),
+                                (C4, "W1", ("W3",)), (C4, "W4", ("W1", "W3"))]:
+            tester(condition, W, Z, ALPHA)
+        (c1_null, _), (c3_null, _), *rest = tested
+        # R ~ 1 is C1's null and C3's null at Z = ()
+        assert c1_null is c3_null
+        # the full design at (W1, {W3}) is the null design at {W1, W3}
+        (_, c3_full), (c3_null, _), (_, c4_full), (c4_null, _) = rest
+        assert c3_full is c3_null and c4_full is c4_null
+        assert c3_full is not c4_full
 
     def test_tests_run_matches_trail_and_bound(self):
         ds = generate(default_config(n=2500, seed=8, scenario="hide_w4"))
@@ -106,6 +134,104 @@ class TestLrtSearch:
                      RoleMap("A", "Y", "R", "I", ("W1",)))
         with pytest.raises(ValueError, match="two covariates"):
             find_adjustment_set(ds, ALPHA)
+
+
+def _few_rows():
+    # 12 rows and 11 covariates: the C3/C4 references R ~ W1..W11 and
+    # R ~ A + W1..W11 have more coefficients than rows, so they cannot be
+    # fitted, while the designs of singleton adjustment sets can
+    rng = np.random.default_rng(6)
+    n, k = 12, 11
+    i = rng.normal(size=n)
+    r = (i + 0.5 * rng.normal(size=n) > -0.8).astype(float)
+    a = (rng.uniform(size=n) < 0.5).astype(float)
+    y = np.where(r == 1, (rng.uniform(size=n) < 0.5).astype(float), np.nan)
+    cols = {"A": a, "Y": y, "R": r, "I": i}
+    names = tuple(f"W{j}" for j in range(1, k + 1))
+    for name in names:
+        cols[name] = rng.normal(size=n)
+    return Dataset(cols, RoleMap("A", "Y", "R", "I", names))
+
+
+def _with_w5(make_w5):
+    ds = generate(default_config(n=2000, seed=2, scenario="hide_w4"))
+    cols = {name: ds.column(name) for name in ds.names}
+    cols["W5"] = make_w5(cols)
+    roles = ds.roles
+    return Dataset(cols, RoleMap(roles.treatment, roles.outcome,
+                                 roles.response, roles.incentive,
+                                 (*roles.covariates, "W5")))
+
+
+def _duplicate_covariate():
+    # W5 repeats W3, so every reference design is rank deficient
+    return _with_w5(lambda cols: cols["W3"].copy())
+
+
+def _separating_covariate():
+    # W5 separates R, so every reference design is separated
+    rng = np.random.default_rng(0)
+    return _with_w5(lambda cols: cols["R"] + rng.uniform(-0.4, 0.4,
+                                                         cols["R"].size))
+
+
+# builder -> (max_subset_size, status, tests_run, verdict of each trail
+# record: p passed, f failed, e error), as the search gave them with every
+# test's full fit started from its null fit, before the design memo
+FALLBACK_SEARCHES = {
+    _few_rows: (1, NOT_FOUND, 243,
+        "ppfpfppfppfpfpfpfpfpfpffpfpfpfpfpfpfpfpfpfpffpfpfpfpfpfpfpfppfpf"
+        "pffpfppfpfpfpfpfpfpfpfppffpfpfpfpfpfpfpfpfpfppffpfpfpfpfpfpfpfpf"
+        "pfpffpfpfpfpfpfpfpfpfpfpffpfpfpfppfpfpfpfpfpfpffpfpfpfpfpfpfpfpf"
+        "pfpffpfpfpfpfppfppfpfpfpfpffpfpfpfpfppfpfpfpfpfpfpf"),
+    _duplicate_covariate: (None, NOT_FOUND, 89,
+        "pppfppfppfppfppfppfppfppfppfppfppfppfppfppfppfppfppfppfppfpfppfp"
+        "fpfpfppfppfppfpfppfpfpfpf"),
+    _separating_covariate: (None, NOT_FOUND, 85,
+        "pppfppfppfpfppfpfpfpfppfppfppfpfppfpfpfpfppfppfppfpfppfpfpfpfppf"
+        "ppfppfppfppfppfppfppf"),
+}
+
+
+class TestFallbackStarts:
+    """A C3/C4 design starts from the reference fit (the endpoint on every
+    covariate) only when that fit converged with full rank; otherwise it
+    starts from zeros, and the search decides as before."""
+
+    @pytest.mark.parametrize("build", list(FALLBACK_SEARCHES),
+                             ids=lambda build: build.__name__.strip("_"))
+    def test_search_decides_as_before_and_replays(self, build, monkeypatch):
+        ds = build()
+        max_size, status, tests_run, verdicts = FALLBACK_SEARCHES[build]
+        warm = []
+        original = citest.fit_glm
+
+        def fit_glm(y, X, start=None):
+            if y is ds.column("R"):
+                warm.append(start is not None)
+            return original(y, X, start)
+
+        monkeypatch.setattr(citest, "fit_glm", fit_glm)
+        tester = LrtTester(ds)
+        outcome = find_adjustment_set(ds, ALPHA, max_size, tester=tester)
+        monkeypatch.undo()
+        assert (outcome.status, outcome.witness, outcome.adjustment_set,
+                outcome.tests_run) == (status, None, None, tests_run)
+        assert "".join("e" if rec.error else "pf"[not rec.passed]
+                       for rec in outcome.trail) == verdicts
+        assert_replays(ds, outcome)
+        # the premise: each reference could not serve as a start
+        covariates = ds.roles.covariates
+        for given in ((), ("A",)):
+            reference = tester._fits.get((False, "R", given + covariates))
+            if build is _few_rows:
+                assert reference is None
+            else:
+                assert reference.rank_deficient or reference.separated
+        # so every fit of R starts from zeros, but C1's R ~ I from R ~ 1
+        assert sum(warm) == 1
+        assert {"C3", "C4"} <= {rec.condition for rec in outcome.trail
+                                if rec.result is not None}
 
 
 # (scenario, seed) -> (status, witness, adjustment_set, tests_run) at

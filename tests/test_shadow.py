@@ -289,6 +289,12 @@ class TestSolvePropensity:
         assert fit2.beta == pytest.approx(fit.beta, abs=1e-6)
         assert fit2.gamma == pytest.approx(fit.gamma, abs=1e-6)
 
+    def test_repeated_adjustment_column_is_rejected(self):
+        ds, _ = shadow_dataset([0.6, 0.2], gamma=-0.9, n=500, seed=10)
+        with pytest.raises(ShadowError,
+                           match="adjustment column 'Z1' appears more"):
+            solve_propensity(ds, ("Z1", "Z2", "Z1"))
+
     def test_empty_adjustment_solves_gamma_only_limit(self):
         # response generated with a constant one-half baseline: the lone
         # moment condition identifies gamma
