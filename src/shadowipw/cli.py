@@ -97,6 +97,12 @@ def _weighting_settings(config: dict, h_mode, clip_lo, clip_hi):
     return h_mode, lo, hi
 
 
+def _treatment_report(fit) -> dict:
+    """The treatment fit's block of an ``estimate`` or ``pipeline`` report."""
+    return {"coefficients": [float(c) for c in fit.coefficients],
+            "converged": fit.converged, "separated": fit.separated}
+
+
 def _resolve_roles(config: dict, treatment, outcome, response, incentive,
                    covariates) -> RoleMap:
     values = {
@@ -217,11 +223,13 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
                                                    clip_hi)
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
     ds = load_csv(data, roles)
-    model, _, est = estimate.fit_and_weight(ds, Z, h_mode, (clip_lo, clip_hi))
+    model, treat, est = estimate.fit_and_weight(ds, Z, h_mode,
+                                                (clip_lo, clip_hi))
     report = {"command": "estimate", "data": str(data),
               "roles": roles.to_dict(), "adjustment": list(Z),
               "h_mode": h_mode, "clip": [clip_lo, clip_hi],
               "response_propensity": model.to_dict(),
+              "treatment_propensity": _treatment_report(treat),
               "estimate": est.to_dict()}
     _emit(report, out)
 
@@ -261,9 +269,7 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
         model, treat, est = estimate.fit_and_weight(
             ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))
         report["response_propensity"] = model.to_dict()
-        report["treatment_propensity"] = {
-            "coefficients": [float(c) for c in treat.coefficients],
-            "converged": treat.converged, "separated": treat.separated}
+        report["treatment_propensity"] = _treatment_report(treat)
         report["estimate"] = est.to_dict()
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])

@@ -1,10 +1,10 @@
 """Columnar dataset with explicit outcome missingness, role assignment, and CSV I/O.
 
-Columns are immutable float64 arrays. Every dataset carries a RoleMap, and
-the roles alone decide what a column may hold: the treatment and the
-response are 0/1, the outcome is the only column allowed to contain missing
-cells (stored as NaN), and it is missing exactly on rows where
-response == 0.
+Columns are immutable float64 arrays of finite numbers. Every dataset
+carries a RoleMap, and the roles alone decide what a column may hold: the
+treatment and the response are 0/1, the outcome is the only column allowed
+to contain missing cells (stored as NaN), and it is missing exactly on rows
+where response == 0.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ class Dataset:
     columns : mapping of name -> 1-D array-like, insertion order preserved
     roles : RoleMap; every role column must exist and not be an oracle
         column, the treatment and the response must be 0/1, and the
-        outcome must be missing exactly where the response is 0
+        outcome must be missing exactly where the response is 0; no
+        column may hold an infinite value
     oracle : names of columns carried for ground-truth evaluation only;
         they may not be referenced by any role
     copy : False when every column is a fresh float array that the caller
@@ -106,8 +107,15 @@ class Dataset:
                 raise DataError(
                     f"oracle-only column {name!r} may not be used in a role")
         for name, arr in self._columns.items():
+            if np.isfinite(arr).all():
+                continue
             if name != roles.outcome and np.isnan(arr).any():
                 raise _missing_values_error(name, roles.outcome)
+            infinite = np.isinf(arr)
+            if infinite.any():
+                i = int(np.argmax(infinite))
+                raise DataError(f"column {name!r} holds {arr[i]:g} at row "
+                                f"{i}; only finite numbers are allowed")
         for name in (roles.treatment, roles.response):
             if not np.isin(self._columns[name], (0.0, 1.0)).all():
                 raise DataError(f"binary column {name!r} contains values "
@@ -300,12 +308,18 @@ def _write_columns(ds: Dataset, names, path: Path) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
+def respondent_rows(ds: Dataset) -> np.ndarray:
+    """Indices of the rows with response == 1, where the outcome is
+    observed. The response is 0/1, so a boolean mask finds them."""
+    return np.flatnonzero(ds.column(ds.roles.response) == 1.0)
+
+
 def subset_observed(ds: Dataset) -> Dataset:
     """Rows with response == 1, where the outcome is fully observed.
 
     Idempotent. An empty result is permitted but flagged with a warning.
     """
-    rows = np.flatnonzero(ds.column(ds.roles.response))
+    rows = respondent_rows(ds)
     if not rows.size:
         warnings.warn("no rows with response == 1", stacklevel=2)
     return ds.take(rows)

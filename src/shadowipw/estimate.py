@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import shadow as shadow_module
-from .data import Dataset, subset_observed
+from .data import Dataset, respondent_rows, subset_observed
 from .glm import GlmFit, design_matrix, fit_glm
 from .shadow import ShadowPropensityModel, or_propensity
 
@@ -85,7 +85,7 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
         raise ValueError(f"adjustment set {Z} does not match the fitted "
                          f"response-propensity model {shadow.adjustment}")
     n = ds.n_rows
-    rows = np.flatnonzero(ds.column(roles.response))   # outcome observed
+    rows = respondent_rows(ds)
     a = ds.column(roles.treatment).take(rows)
     y = ds.column(roles.outcome).take(rows)
     X = design_matrix(rows.size, *(ds.column(z).take(rows) for z in Z))

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, respondent_rows
 from .glm import expit
 
 H_MODE_A_MEAN = "a_mean"
@@ -148,7 +148,7 @@ class _Moments:
         if h_mode not in H_MODES:
             raise ShadowError(f"unknown h mode {h_mode!r}")
         r = ds.column(roles.response)
-        rows = np.flatnonzero(r)
+        rows = respondent_rows(ds)
         a = ds.column(roles.treatment)
         h = [ds.column(z) for z in adjustment]
         h.append(np.full(ds.n_rows, np.mean(a)) if h_mode == H_MODE_A_MEAN

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from shadowipw import estimate
 from shadowipw.cli import EXIT_C1_FAILED, EXIT_NOT_FOUND, EXIT_OK, main
-from shadowipw.data import load_csv, write_csv
+from shadowipw.data import RoleMap, load_csv, write_csv
 from shadowipw.simulate import default_config, generate, roles_for
 
 
@@ -148,6 +149,31 @@ class TestEstimateCommand:
         assert report["response_propensity"]["converged"] is True
         assert np.isfinite(report["estimate"]["ace"])
 
+    def test_reports_the_treatment_fit(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=3000, seed=6)
+        flags = [*ROLE_FLAGS, "--adjustment", "W2,W3,W4"]
+        report = json.loads(runner.invoke(main, ["estimate", str(csv),
+                                                 *flags]).output)
+        ds = load_csv(csv, RoleMap("A", "Y", "R", "I",
+                                   ("W1", "W2", "W3", "W4")))
+        treat = estimate.fit_treatment_propensity(ds, ("W2", "W3", "W4"))
+        assert report["treatment_propensity"] == {
+            "coefficients": treat.coefficients.tolist(),
+            "converged": True, "separated": False}
+        # a separated treatment fit shows in the report; W2 = +-0.1 so that
+        # the coefficients pass SEPARATION_NORM before the score passes TOL
+        raw = csv.read_text().splitlines()
+        header = raw[0].split(",")
+        a, w2 = header.index("A"), header.index("W2")
+        rows = [line.split(",") for line in raw[1:]]
+        for row in rows:
+            row[w2] = "0.1" if row[a] == "1" else "-0.1"
+        csv.write_text("\n".join([raw[0], *map(",".join, rows)]) + "\n")
+        result = runner.invoke(main, ["estimate", str(csv), *flags])
+        assert result.exit_code == 0, result.output
+        block = json.loads(result.output)["treatment_propensity"]
+        assert (block["converged"], block["separated"]) == (False, True)
+
     def test_repeated_adjustment_column_exits_1(self, tmp_path, runner):
         csv = simulate_csv(tmp_path, runner, n=2000, seed=6)
         result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
@@ -264,6 +290,25 @@ class TestLibraryErrors:
         assert (f"Error: {csv} is not UTF-8: byte 0xe9 at offset {offset} "
                 "cannot be decoded") in result.output
         assert "Traceback" not in result.output
+
+
+    @pytest.mark.parametrize("command", ["estimate", "pipeline"])
+    def test_infinite_cell_exits_one_naming_the_column(self, tmp_path,
+                                                       runner, command):
+        csv = simulate_csv(tmp_path, runner, n=500, seed=1, name="t.csv")
+        lines = csv.read_text().splitlines()
+        w4 = lines[0].split(",").index("W4")
+        row = lines[3].split(",")
+        row[w4] = "inf"
+        lines[3] = ",".join(row)
+        csv.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W2,W3,W4"]
+                               if command == "estimate" else
+                               [command, str(csv), *ROLE_FLAGS])
+        assert result.exit_code == 1
+        assert ("Error: column 'W4' holds inf at row 2; only finite numbers "
+                "are allowed") in result.output
 
 
 class TestArgumentChecks:

@@ -59,6 +59,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="'W1' contains missing"):
             load_csv(path, ROLES)
 
+    def test_infinite_cell_rejected(self, tmp_path):
+        # NumPy's parser reads inf; the dataset refuses it
+        path = write(tmp_path, "A,Y,I,W1,W2\n1,1,0.5,0.1,0.2\n"
+                               "0,,1.5,0.3,-inf\n")
+        with pytest.raises(DataError, match="column 'W2' holds -inf at row "
+                                            "1; only finite numbers"):
+            load_csv(path, ROLES)
+
     def test_round_trip_identity(self, tmp_path):
         ds = generate(default_config(n=300, seed=3))
         out = tmp_path / "sim.csv"
@@ -210,7 +218,7 @@ class TestWriteCsv:
         assert data._format_column(values) == [format_cell(v) for v in values]
 
     def test_round_trip_is_bit_exact_at_scale(self, tmp_path):
-        # every kind of value a column can hold
+        # every kind of value a column can hold; a dataset refuses +-inf
         rng = np.random.default_rng(8)
         n = 100_000
         y = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
@@ -218,7 +226,7 @@ class TestWriteCsv:
         columns = {
             "A": rng.integers(0, 2, n).astype(float), "Y": y,
             "R": (~np.isnan(y)).astype(float),
-            "I": rng.choice([e for e in EDGES if not math.isnan(e)], n),
+            "I": rng.choice([e for e in EDGES if math.isfinite(e)], n),
             "W1": rng.integers(-10**16, 10**16, n).astype(float),
             "W2": rng.normal(size=n) * 1e-310,
         }
@@ -255,6 +263,17 @@ class TestDatasetValidation:
                                                 "missing values; only the "
                                                 "outcome column 'Y' may"):
                 Dataset(cols, ROLES)
+
+    @pytest.mark.parametrize("name", ["W1", "A", "Y", "Y_complete"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_cells_rejected(self, name, value):
+        cols = toy_columns(Y_complete=[1.0, 0.0, 0.0, 1.0])
+        cols[name] = np.array(cols[name], dtype=float)
+        cols[name][2] = value
+        with pytest.raises(DataError, match=f"column '{name}' holds "
+                                            f"{value:g} at row 2; only "
+                                            "finite numbers are allowed"):
+            Dataset(cols, ROLES, oracle=("Y_complete",))
 
     def test_oracle_columns_may_not_be_missing(self):
         cols = toy_columns(Y_complete=[1.0, np.nan, 0.0, 1.0])

@@ -188,6 +188,16 @@ class TestLogisticFit:
         with pytest.raises(GlmError):
             fit_glm(y, design_matrix(3))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_infinite_values(self, value):
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        x = np.array([0.5, 1.0, -1.0, 2.0])
+        with pytest.raises(GlmError, match="finite"):
+            fit_glm(np.where(y == 1.0, value, y), design_matrix(4, x))
+        x[2] = value
+        with pytest.raises(GlmError, match="finite"):
+            fit_glm(y, design_matrix(4, x))
+
     def test_needs_more_rows_than_coefficients(self):
         with pytest.raises(GlmError):
             fit_glm(np.array([0.0, 1.0]), design_matrix(2, [1.0, 2.0]))
@@ -202,7 +212,7 @@ class TestLogisticFit:
     def test_one_log_likelihood_per_iteration(self, monkeypatch):
         # the accepted candidate's log-likelihood is carried forward: a fit
         # whose full Newton steps are all kept evaluates it once at the
-        # start and once per iteration
+        # start and once per iteration, in one block or in several
         calls = []
         original = glm._evaluate
 
@@ -216,9 +226,12 @@ class TestLogisticFit:
         X = design_matrix(n, rng.normal(size=n), rng.normal(size=n))
         y = (rng.uniform(size=n) < expit(X @ np.array([0.3, 0.8, -0.6]))
              ).astype(float)
-        fit = fit_glm(y, X)
-        assert fit.converged and fit.iterations >= 3
-        assert len(calls) == fit.iterations + 1
+        for block_rows in (glm.BLOCK_ROWS, 1000):
+            monkeypatch.setattr(glm, "BLOCK_ROWS", block_rows)
+            calls.clear()
+            fit = fit_glm(y, X)
+            assert fit.converged and fit.iterations >= 3
+            assert len(calls) == fit.iterations + 1
 
     @pytest.mark.parametrize("seed, parent_ll", [(0, -38781.151851634815),
                                                  (17, -38384.73995507248)])
@@ -265,6 +278,79 @@ class TestLogisticFit:
                                                     rel=1e-9)
         assert (warm.converged, warm.separated, warm.rank_deficient) == \
             (cold.converged, cold.separated, cold.rank_deficient)
+
+
+def block_case(case, n=5003):
+    """A design and response of n rows for comparing a blocked fit with a
+    one-block fit, and a warm start (None for a cold fit)."""
+    rng = np.random.default_rng(21)
+    x1, x2 = rng.normal(size=(2, n))
+    X = design_matrix(n, x1, x2)
+    y = (rng.uniform(size=n) < expit(0.4 + 0.9 * x1 - 0.7 * x2)
+         ).astype(float)
+    start = None
+    if case == "separated_x1000":
+        X, y = design_matrix(n, x1 * 1000), (x1 > 0).astype(float)
+    elif case == "duplicated":
+        X = design_matrix(n, x1, x1)
+    elif case == "constant":
+        y = np.ones(n)
+    elif case == "warm":
+        start = np.append(fit_glm(y, X[:, :-1]).coefficients, 0.0)
+    return y, X, start
+
+
+class TestBlockedFit:
+    """A fit over more than BLOCK_ROWS rows sums block partials; it must
+    take the one-block fit's path: the same iterations and flags, and
+    coefficients and log-likelihood equal but for the last digits."""
+
+    @pytest.mark.parametrize("case", ["regular", "separated_x1000",
+                                      "duplicated", "constant", "warm"])
+    def test_blocked_fit_matches_one_block(self, monkeypatch, case):
+        y, X, start = block_case(case)
+        assert y.size <= glm.BLOCK_ROWS
+        whole = fit_glm(y, X, start=start)
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        blocked = fit_glm(y, X, start=start)
+        flags = {"regular": (True, False, False),
+                 "separated_x1000": (False, False, False),
+                 "duplicated": (True, False, True),
+                 "constant": (False, True, False),
+                 "warm": (True, False, False)}[case]
+
+        def summary(fit):
+            return (fit.converged, fit.separated, fit.rank_deficient)
+
+        assert summary(whole) == flags
+        assert summary(blocked) == flags
+        assert blocked.iterations == whole.iterations
+        assert blocked.coefficients == pytest.approx(whole.coefficients,
+                                                     rel=1e-12)
+        assert blocked.log_likelihood == pytest.approx(whole.log_likelihood,
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("n, blocks", [(1000, [1000]),
+                                           (1001, [500, 501])])
+    def test_blocks_split_rows_evenly(self, monkeypatch, n, blocks):
+        # n == BLOCK_ROWS runs one block, one row more runs two
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        seen = {}
+        for name in ("_evaluate_rows", "_score_rows", "_gram_rows"):
+            original = getattr(glm, name)
+
+            def spy(*args, _name=name, _original=original):
+                # each function's last argument is an array over its rows
+                seen.setdefault(_name, []).append(args[-1].size)
+                return _original(*args)
+
+            monkeypatch.setattr(glm, name, spy)
+        y, X, _ = block_case("regular", n)
+        fit = fit_glm(y, X)
+        assert fit.converged
+        for name, rows in seen.items():
+            assert rows == blocks * (len(rows) // len(blocks)), name
+        assert set(seen) == {"_evaluate_rows", "_score_rows", "_gram_rows"}
 
 
 class TestLikelihoodRatioTest:
