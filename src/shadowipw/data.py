@@ -107,10 +107,14 @@ class Dataset:
                 raise DataError(
                     f"oracle-only column {name!r} may not be used in a role")
         for name, arr in self._columns.items():
-            if np.isfinite(arr).all():
-                continue
-            if name != roles.outcome and np.isnan(arr).any():
-                raise _missing_values_error(name, roles.outcome)
+            # NaN marks the outcome's missing cells, so the outcome is
+            # searched for inf alone; another column fails only when it
+            # holds a NaN or an inf
+            if name != roles.outcome:
+                if np.isfinite(arr).all():
+                    continue
+                if np.isnan(arr).any():
+                    raise _missing_values_error(name, roles.outcome)
             infinite = np.isinf(arr)
             if infinite.any():
                 i = int(np.argmax(infinite))

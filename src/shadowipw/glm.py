@@ -11,8 +11,8 @@ kept when it lowers the log-likelihood by no more than a bound scaled to
 |ll|, the rounding error of a sum over many rows. A fit may be
 warm-started; ``citest`` starts each design from a fit of a nested or a
 larger design (its start rules (a)-(d)). A fit over more than
-``BLOCK_ROWS`` rows evaluates, scores and weighs its rows in equal blocks
-that stay in cache and sums the blocks' partials, so its last digits
+``BLOCK_ROWS`` rows forms its score and weighted gram in equal blocks of
+rows that stay in cache and sums the blocks' partials, so its last digits
 differ from those of a one-pass sum.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 SEPARATION_NORM = 30.0
 MAX_ITER = 50    # IRLS iterations
 TOL = 1e-8       # converged when the score max-norm is below this
-# rows per block of a fit's row-wise passes. A 10^5 x 4 design, its
+# rows per block of a fit's score and gram passes. A 10^5 x 4 design, its
 # weighted copy and the row vectors overflow a 2 MiB L2 cache, while a
 # 16,384-row block of them fits. A search's fits have up to 10^4 rows and
 # must stay one block: split in two they ran about 10% slower. On 10^5-row,
@@ -104,74 +104,47 @@ def chi_square_sf(x: float, df: int) -> float:
     return q
 
 
-def _blocks(n):
-    """Equal blocks of at most BLOCK_ROWS of n rows, as slices."""
-    k = -(-n // BLOCK_ROWS)
-    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
-# Each step of an iteration has a function on rows, which returns its row
-# arrays and a sum over its rows. Given arrays to write into, as a block is
-# given its part of full-length arrays, it fills them in place; given none,
-# it allocates them. The step's caller (_evaluate, _score, _gram) runs it
-# once on all rows or, over more than BLOCK_ROWS rows, block by block and
-# adds the blocks' sums; a block's rows of the design, of its weighted copy
-# and of every row array stay in cache.
-def _evaluate_rows(beta, Xt, neg_s, eta=None, e=None):
+def _evaluate(beta, Xt, neg_s):
     # the linear predictor at beta, clipped to [-500, 500], and with it
     # e = exp(-s*eta), s = 2y-1 the response's sign, and the log-likelihood
     # -sum log(1 + e): one exp serves the likelihood, the score and the
-    # weights. e is at most exp(500), so nothing overflows.
-    eta = np.matmul(beta, Xt, out=eta)
+    # weights. e is at most exp(500), so nothing overflows. exp and log1p
+    # bound this pass, not memory, so it runs on all rows at once.
+    eta = beta @ Xt
     np.maximum(eta, -500.0, out=eta)
     np.minimum(eta, 500.0, out=eta)
-    e = np.exp(np.multiply(neg_s, eta, out=e), out=e)
+    e = np.exp(neg_s * eta)
     return eta, e, -float(np.sum(np.log1p(e)))
 
 
-def _evaluate(beta, Xt, neg_s):
-    n = neg_s.size
-    if n <= BLOCK_ROWS:
-        return _evaluate_rows(beta, Xt, neg_s)
-    eta, e, ll = np.empty(n), np.empty(n), 0.0
-    for b in _blocks(n):
-        ll += _evaluate_rows(beta, Xt[:, b], neg_s[b], eta[b], e[b])[2]
-    return eta, e, ll
+def _score_rows(Xt, e, s, q, r, resid):
+    # _fit_logistic's score statements on a block's rows, written in place
+    np.divide(1.0, np.add(1.0, e, out=q), out=q)
+    np.multiply(e, q, out=r)
+    np.multiply(s, r, out=resid)
+    return Xt @ resid
 
 
-def _score_rows(Xt, e, s, q=None, r=None, resid=None):
-    # with q = 1/(1+e) the fitted probability of the observed response,
-    # y - mu = s*e*q and mu*(1-mu) = e*q*q
-    q = np.divide(1.0, np.add(1.0, e, out=q), out=q)
-    r = np.multiply(e, q, out=r)
-    resid = np.multiply(s, r, out=resid)
-    return q, r, resid, Xt @ resid
+def _gram_rows(Xt, r, q, w):
+    # _fit_logistic's gram statements on a block's rows, written in place
+    np.maximum(np.multiply(r, q, out=w), 1e-10, out=w)
+    return (Xt * w) @ Xt.T
 
 
-def _score(Xt, e, s):
-    n = e.size
-    if n <= BLOCK_ROWS:
-        return _score_rows(Xt, e, s)
-    q, r, resid, score = np.empty(n), np.empty(n), np.empty(n), 0.0
-    for b in _blocks(n):
-        score = score + _score_rows(Xt[:, b], e[b], s[b], q[b], r[b],
-                                    resid[b])[3]
-    return q, r, resid, score
-
-
-def _gram_rows(Xt, r, q, w=None):
-    w = np.maximum(np.multiply(r, q, out=w), 1e-10, out=w)
-    return w, (Xt * w) @ Xt.T
-
-
-def _gram(Xt, r, q):
-    n = r.size
-    if n <= BLOCK_ROWS:
-        return _gram_rows(Xt, r, q)
-    w, gram = np.empty(n), 0.0
-    for b in _blocks(n):
-        gram = gram + _gram_rows(Xt[:, b], r[b], q[b], w[b])[1]
-    return w, gram
+def _in_blocks(rows, n_out, Xt, *vectors):
+    # runs rows(Xt, *vectors, *outs) on equal blocks of at most BLOCK_ROWS
+    # rows, each writing its part of n_out full-length arrays, and returns
+    # the arrays and the sum of the blocks' results. A block's rows of the
+    # design, of its weighted copy and of every row array stay in cache.
+    n = Xt.shape[1]
+    outs = [np.empty(n) for _ in range(n_out)]
+    total = 0.0
+    k = -(-n // BLOCK_ROWS)
+    for i in range(k):
+        b = slice(i * n // k, (i + 1) * n // k)
+        total = total + rows(Xt[:, b], *(v[b] for v in vectors),
+                             *(o[b] for o in outs))
+    return (*outs, total)
 
 
 def _fit_logistic(y, Xt, start):
@@ -186,17 +159,33 @@ def _fit_logistic(y, Xt, start):
     # a constant response has its maximum at infinite coefficients; the
     # iterations below stop at a finite capped iterate, so flag it up front
     separated = y.min() == y.max()
+    # a fit of at most BLOCK_ROWS rows runs the score and gram statements
+    # on whole arrays: run through the row functions, which allocate in
+    # another order, a 10^4 x 5 fit took 6-8% longer
+    blocked = y.size > BLOCK_ROWS
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        q, r, resid, score = _score(Xt, e, s)
+        if blocked:
+            q, r, resid, score = _in_blocks(_score_rows, 3, Xt, e, s)
+        else:
+            # with q = 1/(1+e) the fitted probability of the observed
+            # response, y - mu = s*e*q and mu*(1-mu) = e*q*q
+            q = 1.0 / (1.0 + e)
+            r = e * q
+            resid = s * r
+            score = Xt @ resid
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum
         if iterations > 1 and np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
-        w, gram = _gram(Xt, r, q)
+        if blocked:
+            w, gram = _in_blocks(_gram_rows, 1, Xt, r, q)
+        else:
+            w = np.maximum(r * q, 1e-10)
+            gram = (Xt * w) @ Xt.T
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
@@ -257,10 +246,9 @@ def fit_glm(y, X, start=None) -> GlmFit:
     largest, or the gram cannot be solved; such fits take the minimum-norm
     least-squares solution for the working response instead.
 
-    A fit over more than ``BLOCK_ROWS`` (16,384) rows sums its
-    log-likelihood, score and gram matrix over equal blocks of rows, so
-    its last digits differ from a one-pass sum; a smaller fit takes one
-    pass.
+    A fit over more than ``BLOCK_ROWS`` (16,384) rows sums its score and
+    gram matrix over equal blocks of rows, so its last digits differ from
+    a one-pass sum; a smaller fit takes one pass.
 
     ``start`` gives initial coefficients (default zeros), such as
     a nested fit's coefficients with zeros appended. It only saves

@@ -29,6 +29,18 @@ def simulate_csv(tmp_path, runner, n=8000, seed=5, scenario="base",
     return out
 
 
+def separate_by_treatment(csv, column, value):
+    """Rewrite csv's column as +value on treated rows and -value on the
+    others, so that it separates the treatment."""
+    raw = csv.read_text().splitlines()
+    header = raw[0].split(",")
+    a, c = header.index("A"), header.index(column)
+    rows = [line.split(",") for line in raw[1:]]
+    for row in rows:
+        row[c] = repr(value if row[a] == "1" else -value)
+    csv.write_text("\n".join([raw[0], *map(",".join, rows)]) + "\n")
+
+
 class TestHelpAndVersion:
     def test_help_lists_all_subcommands(self, runner):
         result = runner.invoke(main, ["--help"])
@@ -162,14 +174,23 @@ class TestEstimateCommand:
             "converged": True, "separated": False}
         # a separated treatment fit shows in the report; W2 = +-0.1 so that
         # the coefficients pass SEPARATION_NORM before the score passes TOL
-        raw = csv.read_text().splitlines()
-        header = raw[0].split(",")
-        a, w2 = header.index("A"), header.index("W2")
-        rows = [line.split(",") for line in raw[1:]]
-        for row in rows:
-            row[w2] = "0.1" if row[a] == "1" else "-0.1"
-        csv.write_text("\n".join([raw[0], *map(",".join, rows)]) + "\n")
+        separate_by_treatment(csv, "W2", 0.1)
         result = runner.invoke(main, ["estimate", str(csv), *flags])
+        assert result.exit_code == 0, result.output
+        block = json.loads(result.output)["treatment_propensity"]
+        assert (block["converged"], block["separated"]) == (False, True)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "glm flags separation by the coefficients' norm alone: with W2 = "
+        "+-1 the score falls below TOL first and the fit reports converged "
+        "(CHANGES.md's FOUND line on glm.py's separation rule; ROADMAP "
+        "item 1)"))
+    def test_reports_a_unit_scale_separated_treatment_fit(self, tmp_path,
+                                                         runner):
+        csv = simulate_csv(tmp_path, runner, n=3000, seed=6)
+        separate_by_treatment(csv, "W2", 1.0)
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W2,W3,W4"])
         assert result.exit_code == 0, result.output
         block = json.loads(result.output)["treatment_propensity"]
         assert (block["converged"], block["separated"]) == (False, True)

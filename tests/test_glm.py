@@ -212,7 +212,8 @@ class TestLogisticFit:
     def test_one_log_likelihood_per_iteration(self, monkeypatch):
         # the accepted candidate's log-likelihood is carried forward: a fit
         # whose full Newton steps are all kept evaluates it once at the
-        # start and once per iteration, in one block or in several
+        # start and once per iteration, whether or not its score and gram
+        # run in blocks
         calls = []
         original = glm._evaluate
 
@@ -301,9 +302,10 @@ def block_case(case, n=5003):
 
 
 class TestBlockedFit:
-    """A fit over more than BLOCK_ROWS rows sums block partials; it must
-    take the one-block fit's path: the same iterations and flags, and
-    coefficients and log-likelihood equal but for the last digits."""
+    """A fit over more than BLOCK_ROWS rows sums the score and gram over
+    blocks of rows; it must take the one-block fit's path: the same
+    iterations and flags, and coefficients and log-likelihood equal but
+    for the last digits."""
 
     @pytest.mark.parametrize("case", ["regular", "separated_x1000",
                                       "duplicated", "constant", "warm"])
@@ -330,13 +332,13 @@ class TestBlockedFit:
         assert blocked.log_likelihood == pytest.approx(whole.log_likelihood,
                                                        rel=1e-12)
 
-    @pytest.mark.parametrize("n, blocks", [(1000, [1000]),
+    @pytest.mark.parametrize("n, blocks", [(1000, []),
                                            (1001, [500, 501])])
     def test_blocks_split_rows_evenly(self, monkeypatch, n, blocks):
-        # n == BLOCK_ROWS runs one block, one row more runs two
+        # n == BLOCK_ROWS runs on whole arrays, one row more in two blocks
         monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
         seen = {}
-        for name in ("_evaluate_rows", "_score_rows", "_gram_rows"):
+        for name in ("_score_rows", "_gram_rows"):
             original = getattr(glm, name)
 
             def spy(*args, _name=name, _original=original):
@@ -346,11 +348,11 @@ class TestBlockedFit:
 
             monkeypatch.setattr(glm, name, spy)
         y, X, _ = block_case("regular", n)
-        fit = fit_glm(y, X)
-        assert fit.converged
+        assert fit_glm(y, X).converged
+        assert set(seen) == ({"_score_rows", "_gram_rows"} if blocks
+                             else set())
         for name, rows in seen.items():
             assert rows == blocks * (len(rows) // len(blocks)), name
-        assert set(seen) == {"_evaluate_rows", "_score_rows", "_gram_rows"}
 
 
 class TestLikelihoodRatioTest:
