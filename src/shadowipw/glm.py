@@ -6,7 +6,10 @@ the response's sign, one ``e = exp(-s*eta)`` per candidate gives the
 log-likelihood -sum log(1 + e), the residual y - mu = s*e/(1+e) and the
 weight mu(1-mu) = e/(1+e)^2; the accepted candidate's e and log-likelihood
 carry into the next iteration, so an iteration whose full step is kept
-evaluates exp once. The Newton step solves gram @ step = score. A step is
+evaluates exp once. The design, row i times -s_i, gives -s*eta, the score
+and the gram in one product each; -s*eta is clipped and the weights are
+floored only where that can change a bit (``fit_glm``). The Newton step
+solves gram @ step = score. A step is
 kept when it lowers the log-likelihood by no more than a bound scaled to
 |ll|, the rounding error of a sum over many rows. A fit may be
 warm-started; ``citest`` starts each design from a fit of a nested or a
@@ -104,57 +107,62 @@ def chi_square_sf(x: float, df: int) -> float:
     return q
 
 
-def _evaluate(beta, Xt, neg_s):
-    # the linear predictor at beta, clipped to [-500, 500], and with it
-    # e = exp(-s*eta), s = 2y-1 the response's sign, and the log-likelihood
-    # -sum log(1 + e): one exp serves the likelihood, the score and the
-    # weights. e is at most exp(500), so nothing overflows. exp and log1p
-    # bound this pass, not memory, so it runs on all rows at once.
-    eta = beta @ Xt
-    np.maximum(eta, -500.0, out=eta)
-    np.minimum(eta, 500.0, out=eta)
-    e = np.exp(neg_s * eta)
-    return eta, e, -float(np.sum(np.log1p(e)))
+def _evaluate(beta, Xs, colmax):
+    # t = -s*eta at beta, s = 2y-1, and with it e = exp(t) and the
+    # log-likelihood -sum log(1 + e): one exp serves the likelihood, the
+    # score and the weights. t is clipped to [-500, 500], lest e overflow,
+    # once |beta| @ colmax, a bound on |t|, passes 499. exp and log1p bound
+    # this pass, not memory, so it runs on all rows at once.
+    e = beta @ Xs
+    if np.abs(beta) @ colmax > 499.0:
+        np.maximum(e, -500.0, out=e)
+        np.minimum(e, 500.0, out=e)
+    np.exp(e, out=e)
+    return e, -float(np.sum(np.log1p(e)))
 
 
-def _score_rows(Xt, e, s, q, r, resid):
+def _score_rows(Xs, e, q, r):
     # _fit_logistic's score statements on a block's rows, written in place
     np.divide(1.0, np.add(1.0, e, out=q), out=q)
     np.multiply(e, q, out=r)
-    np.multiply(s, r, out=resid)
-    return Xt @ resid
+    return -(Xs @ r)
 
 
-def _gram_rows(Xt, r, q, w):
+def _gram_rows(Xs, r, q, w, floored):
     # _fit_logistic's gram statements on a block's rows, written in place
-    np.maximum(np.multiply(r, q, out=w), 1e-10, out=w)
-    return (Xt * w) @ Xt.T
+    np.multiply(r, q, out=w)
+    if floored:
+        np.maximum(w, 1e-10, out=w)
+    return (Xs * w) @ Xs.T
 
 
-def _in_blocks(rows, n_out, Xt, *vectors):
-    # runs rows(Xt, *vectors, *outs) on equal blocks of at most BLOCK_ROWS
-    # rows, each writing its part of n_out full-length arrays, and returns
-    # the arrays and the sum of the blocks' results. A block's rows of the
-    # design, of its weighted copy and of every row array stay in cache.
-    n = Xt.shape[1]
+def _in_blocks(rows, n_out, Xs, *vectors, **options):
+    # runs rows(Xs, *vectors, *outs, **options) on equal blocks of at most
+    # BLOCK_ROWS rows, each writing its part of n_out full-length arrays,
+    # and returns the arrays and the sum of the blocks' results. A block's
+    # rows of the design, its weighted copy and every row array stay cached.
+    n = Xs.shape[1]
     outs = [np.empty(n) for _ in range(n_out)]
     total = 0.0
     k = -(-n // BLOCK_ROWS)
     for i in range(k):
         b = slice(i * n // k, (i + 1) * n // k)
-        total = total + rows(Xt[:, b], *(v[b] for v in vectors),
-                             *(o[b] for o in outs))
+        total = total + rows(Xs[:, b], *(v[b] for v in vectors),
+                             *(o[b] for o in outs), **options)
     return (*outs, total)
 
 
 def _fit_logistic(y, Xt, start):
     # Xt is the design transposed (p x n, C-contiguous): one row per
-    # coefficient, so every product below runs over contiguous rows
+    # coefficient, so every product below runs over contiguous rows. Xs is
+    # Xt with column i times -s_i = 1 - 2y_i, exactly, so beta @ Xs is
+    # -s*eta and -(Xs @ r) the score X'(s*r), bit for bit; |beta| @ colmax
+    # bounds |eta|, and past 20 a weight may fall below 2e-9
     p = Xt.shape[0]
-    s = 2.0 * y - 1.0
-    neg_s = -s
+    Xs = Xt * (1.0 - 2.0 * y)
+    colmax = np.maximum(Xt.max(axis=1), -Xt.min(axis=1))
     beta = np.zeros(p) if start is None else start
-    eta, e, ll = _evaluate(beta, Xt, neg_s)
+    e, ll = _evaluate(beta, Xs, colmax)
     rank_deficient = False
     # a constant response has its maximum at infinite coefficients; the
     # iterations below stop at a finite capped iterate, so flag it up front
@@ -167,25 +175,25 @@ def _fit_logistic(y, Xt, start):
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         if blocked:
-            q, r, resid, score = _in_blocks(_score_rows, 3, Xt, e, s)
+            q, r, score = _in_blocks(_score_rows, 2, Xs, e)
         else:
             # with q = 1/(1+e) the fitted probability of the observed
             # response, y - mu = s*e*q and mu*(1-mu) = e*q*q
             q = 1.0 / (1.0 + e)
             r = e * q
-            resid = s * r
-            score = Xt @ resid
+            score = -(Xs @ r)
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum
         if iterations > 1 and np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
+        floored = np.abs(beta) @ colmax > 20.0
         if blocked:
-            w, gram = _in_blocks(_gram_rows, 1, Xt, r, q)
+            w, gram = _in_blocks(_gram_rows, 1, Xs, r, q, floored=floored)
         else:
-            w = np.maximum(r * q, 1e-10)
-            gram = (Xt * w) @ Xt.T
+            w = np.maximum(r * q, 1e-10) if floored else r * q
+            gram = (Xs * w) @ Xs.T
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
@@ -200,8 +208,9 @@ def _fit_logistic(y, Xt, start):
         if rank_deficient:
             # singular gram matrix: the minimum-norm solution of the
             # weighted least-squares problem for the working response z
+            eta = np.clip(beta @ Xt, -500.0, 500.0)
             sw = np.sqrt(w)
-            z = eta + resid / w
+            z = eta + (2.0 * y - 1.0) * r / w
             step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
         # step-halving: never accept a step that decreases the likelihood by
         # more than the rounding error of its sum over rows, which grows
@@ -209,7 +218,7 @@ def _fit_logistic(y, Xt, start):
         floor = ll - 1e-12 * max(1.0, abs(ll))
         for _ in range(20):
             cand = beta + step
-            eta_cand, e_cand, ll_cand = _evaluate(cand, Xt, neg_s)
+            e_cand, ll_cand = _evaluate(cand, Xs, colmax)
             if ll_cand >= floor:
                 break
             step = step / 2.0
@@ -217,7 +226,7 @@ def _fit_logistic(y, Xt, start):
             # no checked step keeps the likelihood, so none is applied
             iterations -= 1
             break
-        beta, eta, e, ll = cand, eta_cand, e_cand, ll_cand
+        beta, e, ll = cand, e_cand, ll_cand
         if np.linalg.norm(beta) > SEPARATION_NORM:
             separated = True
             break
@@ -235,7 +244,12 @@ def fit_glm(y, X, start=None) -> GlmFit:
     with ``gram = X' W X``, until the score max-norm drops below ``TOL``.
     Each candidate evaluates one ``exp(-s*eta)``, s = 2y-1, from which
     come its log-likelihood and, once it is accepted, the next score and
-    weights. A step is halved (up to 20 times) while
+    weights. Each fit folds the sign into its design once, so -s*eta, the
+    score and the gram are one product each. -s*eta is clipped to
+    [-500, 500] only when ``|beta| @ max|X_j|`` passes 499, and the weights
+    floored at 1e-10 only when it passes 20: below, neither acts, and fits
+    equal a kernel's that forms s*eta and s*r and clips and floors on every
+    pass, bit for bit. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
     a bound scaled to the rounding error of a sum over many rows; if no
     halving passes, the fit stops where it is. Coefficient L2 norm above

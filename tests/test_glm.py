@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -217,9 +218,9 @@ class TestLogisticFit:
         calls = []
         original = glm._evaluate
 
-        def counting(beta, Xt, neg_s):
+        def counting(beta, Xs, colmax):
             calls.append(1)
-            return original(beta, Xt, neg_s)
+            return original(beta, Xs, colmax)
 
         monkeypatch.setattr(glm, "_evaluate", counting)
         rng = np.random.default_rng(11)
@@ -341,10 +342,11 @@ class TestBlockedFit:
         for name in ("_score_rows", "_gram_rows"):
             original = getattr(glm, name)
 
-            def spy(*args, _name=name, _original=original):
-                # each function's last argument is an array over its rows
+            def spy(*args, _name=name, _original=original, **options):
+                # each function's last positional argument is an array
+                # over its rows
                 seen.setdefault(_name, []).append(args[-1].size)
-                return _original(*args)
+                return _original(*args, **options)
 
             monkeypatch.setattr(glm, name, spy)
         y, X, _ = block_case("regular", n)
@@ -353,6 +355,182 @@ class TestBlockedFit:
                              else set())
         for name, rows in seen.items():
             assert rows == blocks * (len(rows) // len(blocks)), name
+
+
+def reference_fit(y, X, start=None):
+    """fit_glm as its kernel read before the sign-folded design, statement
+    for statement: the linear predictor eta is clipped to [-500, 500] and
+    the weights floored at 1e-10 on every pass, and -s*eta and the residual
+    s*r are formed from s = 2y-1 on every pass. A fit over more than
+    glm.BLOCK_ROWS rows sums its score and gram over the same equal blocks
+    of rows. Returns what a GlmFit reports, the coefficients as bytes."""
+    Xt = np.ascontiguousarray(X.T)
+    fit = _reference_logistic(y, Xt, start)
+    if start is not None and not fit[2]:
+        fit = _reference_logistic(y, Xt, None)
+    return fit
+
+
+def _reference_logistic(y, Xt, start):
+    n = y.size
+    s = 2.0 * y - 1.0
+    neg_s = -s
+
+    def evaluate(beta):
+        eta = beta @ Xt
+        np.maximum(eta, -500.0, out=eta)
+        np.minimum(eta, 500.0, out=eta)
+        e = np.exp(neg_s * eta)
+        return eta, e, -float(np.sum(np.log1p(e)))
+
+    def summed(rows):
+        if n <= glm.BLOCK_ROWS:
+            return rows(slice(None))
+        k = -(-n // glm.BLOCK_ROWS)
+        total = 0.0
+        for i in range(k):
+            total = total + rows(slice(i * n // k, (i + 1) * n // k))
+        return total
+
+    beta = np.zeros(Xt.shape[0]) if start is None else start
+    eta, e, ll = evaluate(beta)
+    rank_deficient = False
+    separated = y.min() == y.max()
+    converged = False
+    iterations = 0
+    for iterations in range(1, glm.MAX_ITER + 1):
+        q = 1.0 / (1.0 + e)
+        r = e * q
+        resid = s * r
+        score = summed(lambda b: Xt[:, b] @ resid[b])
+        if iterations > 1 and np.max(np.abs(score)) < glm.TOL:
+            converged = True
+            iterations -= 1
+            break
+        w = np.maximum(r * q, 1e-10)
+        gram = summed(lambda b: (Xt[:, b] * w[b]) @ Xt[:, b].T)
+        if iterations == 1:
+            eig = np.linalg.eigvalsh(gram)
+            rank_deficient = bool(
+                eig[0] <= eig[-1] * y.size * np.finfo(float).eps)
+        if not rank_deficient:
+            try:
+                step = np.linalg.solve(gram, score)
+            except np.linalg.LinAlgError:
+                rank_deficient = True
+        if rank_deficient:
+            sw = np.sqrt(w)
+            z = eta + resid / w
+            step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
+        floor = ll - 1e-12 * max(1.0, abs(ll))
+        for _ in range(20):
+            cand = beta + step
+            eta_cand, e_cand, ll_cand = evaluate(cand)
+            if ll_cand >= floor:
+                break
+            step = step / 2.0
+        else:
+            iterations -= 1
+            break
+        beta, eta, e, ll = cand, eta_cand, e_cand, ll_cand
+        if np.linalg.norm(beta) > glm.SEPARATION_NORM:
+            separated = True
+            break
+    if separated:
+        converged = False
+    return (beta.tobytes(), ll.hex(), bool(converged), iterations,
+            bool(separated), rank_deficient)
+
+
+def fit_bytes(fit):
+    return (fit.coefficients.tobytes(), fit.log_likelihood.hex(),
+            fit.converged, fit.iterations, fit.separated,
+            fit.rank_deficient)
+
+
+def guard_case(case, n, p, scale, rng):
+    """A design, a response and a coefficient vector that draws y, for the
+    byte-for-byte comparison with reference_fit."""
+    X = design_matrix(n, *(scale * rng.normal(size=(p - 1, n))))
+    beta = rng.uniform(-1.0, 1.0, size=p) / scale
+    y = (rng.uniform(size=n) < expit(X @ beta)).astype(float)
+    if case in ("separated", "separated_x1000") and p > 1:
+        y = (X[:, -1] > 0).astype(float)
+        if case == "separated_x1000":
+            X[:, -1] *= 1000.0
+    elif case == "constant":
+        y = np.full(n, float(rng.integers(2)))
+    elif case == "duplicated" and p > 2:
+        X[:, -1] = X[:, 1]
+    return y, X
+
+
+class TestSignFoldedKernel:
+    """fit_glm folds the response's sign into the design and clips eta
+    and floors the weights only when |beta| @ max|X_j| lets them act; its
+    fits must equal reference_fit's byte for byte."""
+
+    @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=40, max_value=400),
+           st.sampled_from(["regular", "separated", "separated_x1000",
+                            "constant", "duplicated"]),
+           st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+           st.sampled_from([None, "nested", "random"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_kernel(self, block_rows, p, n, case, scale,
+                                      start, seed):
+        # with BLOCK_ROWS at 1000 every fit runs 2 or 3 blocks
+        rng = np.random.default_rng(seed)
+        if block_rows < glm.BLOCK_ROWS:
+            n += 1000
+        y, X = guard_case(case, n, p, scale, rng)
+        if start == "nested" and p > 1:
+            start = np.append(fit_glm(y, X[:, :-1]).coefficients, 0.0)
+        elif start is not None:
+            start = rng.uniform(-2.0, 2.0, size=p)
+        with mock.patch.object(glm, "BLOCK_ROWS", block_rows):
+            assert fit_bytes(fit_glm(y, X, start=start)) == \
+                reference_fit(y, X, start)
+
+    @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
+    @pytest.mark.parametrize("case, bound", [("separated_x1000", 499.0),
+                                             ("separated", 20.0),
+                                             ("constant", 20.0),
+                                             ("duplicated", None)])
+    def test_guards_switch_on_part_way(self, monkeypatch, block_rows, case,
+                                       bound):
+        # each fit starts at zero, below both bounds, and ends past the
+        # bound named: the clip (499) or the weight floor (20) starts to
+        # run part-way through it. The duplicated column takes lstsq.
+        monkeypatch.setattr(glm, "BLOCK_ROWS", block_rows)
+        y, X = guard_case(case, 2500, 2 if case != "duplicated" else 3,
+                          1.0, np.random.default_rng(5))
+        fit = fit_glm(y, X)
+        assert fit_bytes(fit) == reference_fit(y, X)
+        if bound is None:
+            assert fit.rank_deficient
+        else:
+            assert np.abs(fit.coefficients) @ np.abs(X).max(axis=0) > bound
+
+    def test_clip_is_skipped_only_where_it_changes_nothing(self):
+        # eta reaches +-|beta| @ max|X_j| on the row of the largest |x|, so
+        # bounds either side of 500 clip some rows or none; each evaluation
+        # must equal the always-clipped one byte for byte
+        rng = np.random.default_rng(3)
+        n = 500
+        X = design_matrix(n, rng.normal(size=n))
+        y = (rng.uniform(size=n) < 0.5).astype(float)
+        Xt = np.ascontiguousarray(X.T)
+        colmax = np.abs(X).max(axis=0)
+        for bound in np.linspace(480.0, 540.0, 61):
+            beta = np.array([0.0, bound / colmax[1]])
+            eta = np.clip(beta @ Xt, -500.0, 500.0)
+            e = np.exp(-(2.0 * y - 1.0) * eta)
+            got_e, got_ll = glm._evaluate(beta, Xt * (1.0 - 2.0 * y), colmax)
+            assert got_e.tobytes() == e.tobytes()
+            assert got_ll.hex() == (-float(np.sum(np.log1p(e)))).hex()
 
 
 class TestLikelihoodRatioTest:
