@@ -7,11 +7,10 @@ log-likelihood -sum log(1 + e), the residual y - mu = s*e/(1+e) and the
 weight mu(1-mu) = e/(1+e)^2; the accepted candidate's e and log-likelihood
 carry into the next iteration, so an iteration whose full step is kept
 evaluates exp once. The design, row i times -s_i, gives -s*eta, the score
-and the gram in one product each; -s*eta is clipped and the weights are
-floored only where that can change a bit (``fit_glm``). The Newton step
-solves gram @ step = score. A step is
-kept when it lowers the log-likelihood by no more than a bound scaled to
-|ll|, the rounding error of a sum over many rows. A fit may be
+and the gram in one product each; -s*eta is clipped only where that can
+change a bit (``fit_glm``). The Newton step solves gram @ step = score.
+A step is kept when it lowers the log-likelihood by no more than a bound
+scaled to |ll|, the rounding error of a sum over many rows. A fit may be
 warm-started; ``citest`` starts each design from a fit of a nested or a
 larger design (its start rules (a)-(d)). A fit over more than
 ``BLOCK_ROWS`` rows forms its score and weighted gram in equal blocks of
@@ -128,19 +127,17 @@ def _score_rows(Xs, e, q, r):
     return -(Xs @ r)
 
 
-def _gram_rows(Xs, r, q, w, floored):
+def _gram_rows(Xs, r, q, w):
     # _fit_logistic's gram statements on a block's rows, written in place
-    np.multiply(r, q, out=w)
-    if floored:
-        np.maximum(w, 1e-10, out=w)
+    np.maximum(np.multiply(r, q, out=w), 1e-10, out=w)
     return (Xs * w) @ Xs.T
 
 
-def _in_blocks(rows, n_out, Xs, *vectors, **options):
-    # runs rows(Xs, *vectors, *outs, **options) on equal blocks of at most
-    # BLOCK_ROWS rows, each writing its part of n_out full-length arrays,
-    # and returns the arrays and the sum of the blocks' results. A block's
-    # rows of the design, its weighted copy and every row array stay cached.
+def _in_blocks(rows, n_out, Xs, *vectors):
+    # runs rows(Xs, *vectors, *outs) on equal blocks of at most BLOCK_ROWS
+    # rows, each writing its part of n_out full-length arrays, and returns
+    # the arrays and the sum of the blocks' results. A block's rows of the
+    # design, of its weighted copy and of every row array stay in cache.
     n = Xs.shape[1]
     outs = [np.empty(n) for _ in range(n_out)]
     total = 0.0
@@ -148,7 +145,7 @@ def _in_blocks(rows, n_out, Xs, *vectors, **options):
     for i in range(k):
         b = slice(i * n // k, (i + 1) * n // k)
         total = total + rows(Xs[:, b], *(v[b] for v in vectors),
-                             *(o[b] for o in outs), **options)
+                             *(o[b] for o in outs))
     return (*outs, total)
 
 
@@ -157,7 +154,7 @@ def _fit_logistic(y, Xt, start):
     # coefficient, so every product below runs over contiguous rows. Xs is
     # Xt with column i times -s_i = 1 - 2y_i, exactly, so beta @ Xs is
     # -s*eta and -(Xs @ r) the score X'(s*r), bit for bit; |beta| @ colmax
-    # bounds |eta|, and past 20 a weight may fall below 2e-9
+    # bounds |eta|
     p = Xt.shape[0]
     Xs = Xt * (1.0 - 2.0 * y)
     colmax = np.maximum(Xt.max(axis=1), -Xt.min(axis=1))
@@ -188,11 +185,10 @@ def _fit_logistic(y, Xt, start):
             converged = True
             iterations -= 1
             break
-        floored = np.abs(beta) @ colmax > 20.0
         if blocked:
-            w, gram = _in_blocks(_gram_rows, 1, Xs, r, q, floored=floored)
+            w, gram = _in_blocks(_gram_rows, 1, Xs, r, q)
         else:
-            w = np.maximum(r * q, 1e-10) if floored else r * q
+            w = np.maximum(r * q, 1e-10)
             gram = (Xs * w) @ Xs.T
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
@@ -246,10 +242,10 @@ def fit_glm(y, X, start=None) -> GlmFit:
     come its log-likelihood and, once it is accepted, the next score and
     weights. Each fit folds the sign into its design once, so -s*eta, the
     score and the gram are one product each. -s*eta is clipped to
-    [-500, 500] only when ``|beta| @ max|X_j|`` passes 499, and the weights
-    floored at 1e-10 only when it passes 20: below, neither acts, and fits
-    equal a kernel's that forms s*eta and s*r and clips and floors on every
-    pass, bit for bit. A step is halved (up to 20 times) while
+    [-500, 500] only when ``|beta| @ max|X_j|`` passes 499: below, the clip
+    does not act. The weights are floored at 1e-10 on every pass. Fits
+    equal a kernel's that forms s*eta and s*r and clips on every pass, bit
+    for bit. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
     a bound scaled to the rounding error of a sum over many rows; if no
     halving passes, the fit stops where it is. Coefficient L2 norm above

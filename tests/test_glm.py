@@ -342,11 +342,10 @@ class TestBlockedFit:
         for name in ("_score_rows", "_gram_rows"):
             original = getattr(glm, name)
 
-            def spy(*args, _name=name, _original=original, **options):
-                # each function's last positional argument is an array
-                # over its rows
+            def spy(*args, _name=name, _original=original):
+                # each function's last argument is an array over its rows
                 seen.setdefault(_name, []).append(args[-1].size)
-                return _original(*args, **options)
+                return _original(*args)
 
             monkeypatch.setattr(glm, name, spy)
         y, X, _ = block_case("regular", n)
@@ -467,8 +466,8 @@ def guard_case(case, n, p, scale, rng):
 
 class TestSignFoldedKernel:
     """fit_glm folds the response's sign into the design and clips eta
-    and floors the weights only when |beta| @ max|X_j| lets them act; its
-    fits must equal reference_fit's byte for byte."""
+    only when |beta| @ max|X_j| lets the clip act; its fits must equal
+    reference_fit's byte for byte."""
 
     @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
     @given(st.integers(min_value=1, max_value=6),
@@ -495,24 +494,25 @@ class TestSignFoldedKernel:
                 reference_fit(y, X, start)
 
     @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
-    @pytest.mark.parametrize("case, bound", [("separated_x1000", 499.0),
-                                             ("separated", 20.0),
-                                             ("constant", 20.0),
-                                             ("duplicated", None)])
-    def test_guards_switch_on_part_way(self, monkeypatch, block_rows, case,
-                                       bound):
-        # each fit starts at zero, below both bounds, and ends past the
-        # bound named: the clip (499) or the weight floor (20) starts to
-        # run part-way through it. The duplicated column takes lstsq.
+    @pytest.mark.parametrize("case", ["separated_x1000", "separated",
+                                      "constant", "duplicated"])
+    def test_guards_switch_on_part_way(self, monkeypatch, block_rows, case):
+        # each fit starts at zero, where neither the clip nor the weight
+        # floor acts, and ends where one does: past the clip's bound (x1000)
+        # or with weights below the floor (separated, constant response).
+        # The duplicated column takes lstsq.
         monkeypatch.setattr(glm, "BLOCK_ROWS", block_rows)
         y, X = guard_case(case, 2500, 2 if case != "duplicated" else 3,
                           1.0, np.random.default_rng(5))
         fit = fit_glm(y, X)
         assert fit_bytes(fit) == reference_fit(y, X)
-        if bound is None:
+        if case == "duplicated":
             assert fit.rank_deficient
+        elif case == "separated_x1000":
+            assert np.abs(fit.coefficients) @ np.abs(X).max(axis=0) > 499.0
         else:
-            assert np.abs(fit.coefficients) @ np.abs(X).max(axis=0) > bound
+            mu = expit(X @ fit.coefficients)
+            assert (mu * (1.0 - mu)).min() < 1e-10
 
     def test_clip_is_skipped_only_where_it_changes_nothing(self):
         # eta reaches +-|beta| @ max|X_j| on the row of the largest |x|, so
