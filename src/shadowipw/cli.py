@@ -97,10 +97,29 @@ def _weighting_settings(config: dict, h_mode, clip_lo, clip_hi):
     return h_mode, lo, hi
 
 
-def _treatment_report(fit) -> dict:
-    """The treatment fit's block of an ``estimate`` or ``pipeline`` report."""
-    return {"coefficients": [float(c) for c in fit.coefficients],
-            "converged": fit.converged, "separated": fit.separated}
+def _estimate_report(model, treat, est) -> dict:
+    """The blocks an ``estimate`` or ``pipeline`` report gives a fitted
+    estimate: both propensity models, the estimate, and ``warnings``, which
+    names each fit whose numbers the estimate should not be trusted on."""
+    warnings = []
+    if model.used_fallback:
+        warnings.append("response propensity: the Newton solve stalled at "
+                        f"residual {model.residual_norm:.3g}")
+    elif not model.converged:
+        warnings.append("response propensity: the Newton solve did not "
+                        f"converge in {model.iterations} iterations")
+    if treat.separated:
+        warnings.append("treatment propensity: the fit is separated")
+    elif not treat.converged:
+        warnings.append("treatment propensity: the fit did not converge in "
+                        f"{treat.iterations} iterations")
+    if treat.rank_deficient:
+        warnings.append("treatment propensity: the design is rank deficient")
+    return {"response_propensity": model.to_dict(),
+            "treatment_propensity": {
+                "coefficients": [float(c) for c in treat.coefficients],
+                "converged": treat.converged, "separated": treat.separated},
+            "estimate": est.to_dict(), "warnings": warnings}
 
 
 def _resolve_roles(config: dict, treatment, outcome, response, incentive,
@@ -228,9 +247,7 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
     report = {"command": "estimate", "data": str(data),
               "roles": roles.to_dict(), "adjustment": list(Z),
               "h_mode": h_mode, "clip": [clip_lo, clip_hi],
-              "response_propensity": model.to_dict(),
-              "treatment_propensity": _treatment_report(treat),
-              "estimate": est.to_dict()}
+              **_estimate_report(model, treat, est)}
     _emit(report, out)
 
 
@@ -264,13 +281,10 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
     report = {"command": "pipeline", "data": str(data),
               "config": resolved, "search": outcome_.to_dict(),
               "response_propensity": None, "treatment_propensity": None,
-              "estimate": None}
+              "estimate": None, "warnings": []}
     if outcome_.status == FOUND:
-        model, treat, est = estimate.fit_and_weight(
-            ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))
-        report["response_propensity"] = model.to_dict()
-        report["treatment_propensity"] = _treatment_report(treat)
-        report["estimate"] = est.to_dict()
+        report.update(_estimate_report(*estimate.fit_and_weight(
+            ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))))
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 

@@ -1,12 +1,16 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from shadowipw import estimate
-from shadowipw.cli import EXIT_C1_FAILED, EXIT_NOT_FOUND, EXIT_OK, main
+from shadowipw.cli import (EXIT_C1_FAILED, EXIT_NOT_FOUND, EXIT_OK,
+                           _estimate_report, main)
 from shadowipw.data import RoleMap, load_csv, write_csv
+from shadowipw.glm import GlmFit
+from shadowipw.shadow import ShadowPropensityModel
 from shadowipw.simulate import default_config, generate, roles_for
 
 
@@ -202,6 +206,65 @@ class TestEstimateCommand:
         assert result.exit_code == 1
         assert "adjustment column 'W2' appears more than once" in \
             result.output
+
+
+class TestReportWarnings:
+    """``estimate`` and ``pipeline`` reports list each fit an estimate
+    should not be trusted on."""
+
+    def test_stalled_response_solve(self, tmp_path, runner):
+        # the a_row solve on W2, W3 stalls with gamma near -1e14, and the
+        # ACE is still a number
+        csv = simulate_csv(tmp_path, runner, n=10000, seed=7,
+                           scenario="add_a_to_ry")
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W2,W3",
+                                      "--h-mode", "a_row"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["response_propensity"]["used_fallback"] is True
+        assert np.isfinite(report["estimate"]["ace"])
+        [warning] = report["warnings"]
+        assert warning.startswith("response propensity: the Newton solve "
+                                  "stalled at residual ")
+
+    def test_separated_treatment_fit(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=3000, seed=6)
+        separate_by_treatment(csv, "W2", 0.1)
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W2,W3,W4"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["warnings"] == [
+            "treatment propensity: the fit is separated"]
+
+    def test_clean_csv_gives_no_warnings(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=10000, seed=5)
+        for command in (["pipeline"],
+                        ["estimate", "--adjustment", "W2,W3,W4"]):
+            result = runner.invoke(main, [command[0], str(csv), *ROLE_FLAGS,
+                                          *command[1:]])
+            assert result.exit_code == EXIT_OK, result.output
+            report = json.loads(result.output)
+            assert report["estimate"] is not None
+            assert report["warnings"] == [], command[0]
+
+    @pytest.mark.parametrize("solve, fit, want", [
+        ({"converged": False, "iterations": 100}, {},
+         ["response propensity: the Newton solve did not converge in 100 "
+          "iterations"]),
+        ({}, {"converged": False, "iterations": 50},
+         ["treatment propensity: the fit did not converge in 50 "
+          "iterations"]),
+        ({}, {"converged": False, "separated": True},
+         ["treatment propensity: the fit is separated"]),
+        ({}, {"rank_deficient": True},
+         ["treatment propensity: the design is rank deficient"]),
+    ])
+    def test_each_warning(self, solve, fit, want):
+        model = replace(ShadowPropensityModel.trivial(("W2",)), **solve)
+        treat = replace(GlmFit(np.zeros(2), -1.0, True, 3, 10), **fit)
+        est = estimate.AceEstimate(0.5, 0.25, 0.25, 10, 10, 0.0, "full")
+        assert _estimate_report(model, treat, est)["warnings"] == want
 
 
 class TestPipelineCommand:

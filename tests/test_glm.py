@@ -214,7 +214,8 @@ class TestLogisticFit:
         # the accepted candidate's log-likelihood is carried forward: a fit
         # whose full Newton steps are all kept evaluates it once at the
         # start and once per iteration, whether or not its score and gram
-        # run in blocks
+        # run in blocks. The blocked fit calls the kernel itself, as
+        # fit_glm would first fit a pilot of every PILOT_STRIDE-th row
         calls = []
         original = glm._evaluate
 
@@ -231,7 +232,7 @@ class TestLogisticFit:
         for block_rows in (glm.BLOCK_ROWS, 1000):
             monkeypatch.setattr(glm, "BLOCK_ROWS", block_rows)
             calls.clear()
-            fit = fit_glm(y, X)
+            fit = fit_glm(y, X) if n <= block_rows else zero_start_fit(y, X)
             assert fit.converged and fit.iterations >= 3
             assert len(calls) == fit.iterations + 1
 
@@ -311,11 +312,13 @@ class TestBlockedFit:
     @pytest.mark.parametrize("case", ["regular", "separated_x1000",
                                       "duplicated", "constant", "warm"])
     def test_blocked_fit_matches_one_block(self, monkeypatch, case):
+        # the blocked fit calls the kernel, which fit_glm would start from
+        # a pilot fit when given no start
         y, X, start = block_case(case)
         assert y.size <= glm.BLOCK_ROWS
         whole = fit_glm(y, X, start=start)
         monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
-        blocked = fit_glm(y, X, start=start)
+        blocked = glm._fit_logistic(y, np.ascontiguousarray(X.T), start)
         flags = {"regular": (True, False, False),
                  "separated_x1000": (False, False, False),
                  "duplicated": (True, False, True),
@@ -480,7 +483,8 @@ class TestSignFoldedKernel:
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_kernel(self, block_rows, p, n, case, scale,
                                       start, seed):
-        # with BLOCK_ROWS at 1000 every fit runs 2 or 3 blocks
+        # with BLOCK_ROWS at 1000 every fit runs 2 or 3 blocks; a cold one
+        # calls the kernel, which fit_glm would start from a pilot fit
         rng = np.random.default_rng(seed)
         if block_rows < glm.BLOCK_ROWS:
             n += 1000
@@ -490,8 +494,9 @@ class TestSignFoldedKernel:
         elif start is not None:
             start = rng.uniform(-2.0, 2.0, size=p)
         with mock.patch.object(glm, "BLOCK_ROWS", block_rows):
-            assert fit_bytes(fit_glm(y, X, start=start)) == \
-                reference_fit(y, X, start)
+            fit = (zero_start_fit(y, X) if start is None and n > block_rows
+                   else fit_glm(y, X, start=start))
+            assert fit_bytes(fit) == reference_fit(y, X, start)
 
     @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
     @pytest.mark.parametrize("case", ["separated_x1000", "separated",
@@ -531,6 +536,130 @@ class TestSignFoldedKernel:
             got_e, got_ll = glm._evaluate(beta, Xt * (1.0 - 2.0 * y), colmax)
             assert got_e.tobytes() == e.tobytes()
             assert got_ll.hex() == (-float(np.sum(np.log1p(e)))).hex()
+
+
+def kernel_calls(monkeypatch):
+    """Spy on glm._fit_logistic: a list that gets (rows, start given, fit)
+    for each call."""
+    calls = []
+    original = glm._fit_logistic
+
+    def spy(y, Xt, start):
+        fit = original(y, Xt, start)
+        calls.append((y.size, start is not None, fit))
+        return fit
+
+    monkeypatch.setattr(glm, "_fit_logistic", spy)
+    return calls
+
+
+def zero_start_fit(y, X):
+    """The kernel's fit from zeros: fit_glm's fit when it has no pilot."""
+    return glm._fit_logistic(y, np.ascontiguousarray(X.T), None)
+
+
+class TestPilotFit:
+    """A cold fit over more than BLOCK_ROWS rows starts from a fit on every
+    PILOT_STRIDE-th row when that fit converged and is not rank deficient;
+    it must report the zero-start kernel's flags, and where both converge
+    the same optimum to within the score tolerance."""
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1001, max_value=3000),
+           st.sampled_from(["regular", "separated", "separated_x1000",
+                            "constant", "duplicated"]),
+           st.sampled_from([0.1, 1.0, 10.0]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_zero_start_kernel(self, p, n, case, scale, seed):
+        rng = np.random.default_rng(seed)
+        y, X = guard_case(case, n, p, scale, rng)
+        with mock.patch.object(glm, "BLOCK_ROWS", 1000):
+            fit = fit_glm(y, X)
+            cold = zero_start_fit(y, X)
+        assert (fit.converged, fit.separated, fit.rank_deficient) == \
+            (cold.converged, cold.separated, cold.rank_deficient)
+        if cold.rank_deficient:
+            # so is the pilot's design, a subset of the rows
+            assert fit_bytes(fit) == fit_bytes(cold)
+            return
+        if not (fit.converged and cold.converged):
+            return
+        # each fit stops with a score g of max-norm below TOL. With H the
+        # information X'WX at the optimum, smallest eigenvalue lam, a fit
+        # lies within |H^-1 g| <= sqrt(p) * TOL / lam of the optimum and
+        # its log-likelihood within g'H^-1 g / 2 <= p * TOL^2 / (2 lam) of
+        # the maximum; the two fits lie within twice that of each other,
+        # to second order. A factor 2 covers the second-order terms; the
+        # log-likelihood also carries the rounding of its sum over n rows,
+        # which step acceptance bounds by 1e-12 |ll|.
+        mu = expit(X @ cold.coefficients)
+        lam = np.linalg.eigvalsh((X.T * (mu * (1.0 - mu))) @ X)[0]
+        coef_bound = 4.0 * math.sqrt(p) * glm.TOL / lam
+        ll_bound = (2.0 * p * glm.TOL ** 2 / lam
+                    + 1e-12 * abs(cold.log_likelihood))
+        assert np.linalg.norm(fit.coefficients - cold.coefficients) <= \
+            coef_bound
+        assert abs(fit.log_likelihood - cold.log_likelihood) <= ll_bound
+
+    @pytest.mark.parametrize("case", ["separated", "rank_deficient"])
+    def test_unusable_pilot_gives_the_zero_start_fit(self, monkeypatch,
+                                                     case):
+        # the full design is regular, but on the pilot's rows the response
+        # is separated by x1, or x2 repeats x1; the fit starts from zeros
+        # and equals the zero-start kernel's byte for byte
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        n = 4000
+        rng = np.random.default_rng(8)
+        x1, x2 = rng.normal(size=(2, n))
+        y = (rng.uniform(size=n) < expit(0.3 + x1 - 0.5 * x2)).astype(float)
+        pilot = slice(None, None, glm.PILOT_STRIDE)
+        if case == "separated":
+            y[pilot] = (x1[pilot] > 0).astype(float)
+        else:
+            x2[pilot] = x1[pilot]
+        X = design_matrix(n, x1, x2)
+        calls = kernel_calls(monkeypatch)
+        fit = fit_glm(y, X)
+        [(rows, warm, pilot_fit), (_, full_warm, _)] = calls
+        assert rows == y[pilot].size and not warm and not full_warm
+        assert (pilot_fit.separated if case == "separated"
+                else pilot_fit.rank_deficient)
+        assert fit.converged and not fit.separated
+        assert not fit.rank_deficient
+        assert fit_bytes(fit) == fit_bytes(zero_start_fit(y, X))
+
+    def test_explicit_start_skips_the_pilot(self, monkeypatch):
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        y, X, _ = block_case("regular", 3000)
+        calls = kernel_calls(monkeypatch)
+        fit = fit_glm(y, X, start=np.zeros(3))
+        assert [(rows, warm) for rows, warm, _ in calls] == [(3000, True)]
+        assert fit.converged
+
+    @pytest.mark.parametrize("n, kernel_rows", [(1000, [1000]),
+                                                (1001, [63, 1001])])
+    def test_pilot_only_above_block_rows(self, monkeypatch, n, kernel_rows):
+        # a fit of BLOCK_ROWS rows is one kernel call from zeros and equals
+        # the kernel's from before the pilot fit byte for byte; one row
+        # more fits a pilot first
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        y, X, _ = block_case("regular", n)
+        calls = kernel_calls(monkeypatch)
+        fit = fit_glm(y, X)
+        assert [rows for rows, _, _ in calls] == kernel_rows
+        if n == 1000:
+            assert fit_bytes(fit) == reference_fit(y, X)
+
+    def test_treatment_fit_at_hundred_thousand_rows(self):
+        # seed 3's treatment fit on (W2, W3, W4) took 7 full-data
+        # iterations from zeros
+        ds = generate(replace(default_config(), n=100_000, seed=3))
+        X = design_matrix(ds.n_rows,
+                          *(ds.column(c) for c in ("W2", "W3", "W4")))
+        fit = fit_glm(ds.column("A"), X)
+        assert fit.converged
+        assert fit.iterations <= 4
 
 
 class TestLikelihoodRatioTest:

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -69,3 +72,31 @@ def test_cli_runs_without_scipy_and_networkx(tmp_path):
                             if path.is_file()}
     assert len(reports[""]) == 5
     assert reports["scipy,networkx"] == reports[""]
+
+
+def test_benchmark_bindings_resolve(monkeypatch):
+    # perfbench/ wraps or reads these names of the package at run time; a
+    # rename breaks the benchmark, not the package's own tests. The names
+    # are listed in ROADMAP.md ("Names the benchmark binds").
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # read only
+    try:
+        workloads = importlib.import_module("workloads")
+        unbound = [name for owner, attr, name in workloads.SITES
+                   if not callable(getattr(owner, attr, None))]
+        assert unbound == []
+    finally:
+        for name in ("workloads", "reference"):
+            sys.modules.pop(name, None)
+    from shadowipw import citest, data, estimate, shadow, simulate
+    assert shadow.H_MODE_A_MEAN in shadow.H_MODES
+    assert "used_fallback" in {f.name for f in
+                               dataclasses.fields(shadow.ShadowPropensityModel)}
+    assert list(inspect.signature(shadow.solve_propensity).parameters)[:3] \
+        == ["ds", "Z", "h_mode"]
+    assert list(inspect.signature(data.write_csv).parameters)[:2] == \
+        ["ds", "path"]
+    for fn in (citest.subset_observed, estimate.subset_observed,
+               data.RoleMap.from_dict, simulate.roles_for):
+        assert callable(fn)
