@@ -6,6 +6,7 @@ repository root:
     PYTHONPATH=src python docs/acceptance_analysis.py search
     PYTHONPATH=src python docs/acceptance_analysis.py estimate-spread
     PYTHONPATH=src python docs/acceptance_analysis.py estimate-large-n
+    PYTHONPATH=src python docs/acceptance_analysis.py search-large-n
 
 ``search`` runs the same search experiments as the acceptance fixture
 (n=10000, 200+200 trials, seed 0, alpha 0.01/0.05/0.1, two jobs). It then explains
@@ -18,6 +19,13 @@ whether per-dataset verdicts are nested across alpha.
 estimator with the adjustment set fixed to (W2, W3, W4) on the criterion-5
 seeds. ``estimate-large-n`` computes the same two estimates on single draws
 at n=10^6.
+
+``search-large-n`` runs the search on 10^5-row ``base`` datasets, seeds
+1-10, under the shipped simulator and with its probability clip switched
+off (``prob_clip=(0, 1)``, a ``DgpConfig`` override), and prints C4's LRT
+at the correct candidate. It then averages that LRT over more seeds and at
+10^6 rows, also with the outcome's effect on the response switched off
+(``gamma_true=0``).
 
 The sizes, trial counts and seeds are the constants below. The first four
 equal the acceptance fixture's N_DESK, TRIALS, SEED and JOBS, so the
@@ -48,11 +56,18 @@ ALPHAS = (0.01, 0.05, 0.1)
 N_LARGE = 1_000_000
 LARGE_SEEDS = (1, 2)
 WITNESS = "W1"
+N_SEARCH_LARGE = 100_000
+SEARCH_LARGE_SEEDS = range(1, 11)
+C4_SEEDS = {N_SEARCH_LARGE: range(1, 31), N_LARGE: range(1, 9)}
+NO_CLIP = {"prob_clip": (0.0, 1.0)}
+DGP_VARIANTS = (("shipped", {}), ("prob_clip (0, 1)", NO_CLIP),
+                ("prob_clip (0, 1), gamma_true 0",
+                 {**NO_CLIP, "gamma_true": 0.0}))
 
 
-def _dataset(n, seed, scenario):
+def _dataset(n, seed, scenario, **overrides):
     return generate(replace(default_config(), n=n, seed=seed,
-                            scenario=scenario))
+                            scenario=scenario, **overrides))
 
 
 def _correct_candidate_pvalues(args):
@@ -194,8 +209,39 @@ def cmd_estimate_large_n():
               f"full {full:.4f}")
 
 
+def _c4_at_correct_candidate(ds):
+    return citest.test_c4(ds, WITNESS, CORRECT_SET, 0.05).result
+
+
+def cmd_search_large_n():
+    print(f"n={N_SEARCH_LARGE} base, alpha 0.05; C4 at the correct "
+          f"candidate ({WITNESS}; {','.join(CORRECT_SET)})")
+    for label, overrides in DGP_VARIANTS[:2]:
+        print(f"{label}:")
+        for seed in SEARCH_LARGE_SEEDS:
+            ds = _dataset(N_SEARCH_LARGE, seed, SCENARIO_BASE, **overrides)
+            out = find_adjustment_set(ds, 0.05)
+            c4 = _c4_at_correct_candidate(ds)
+            print(f"  seed {seed}: "
+                  f"{_fmt_set(out.status, out.witness, out.adjustment_set)}"
+                  f"; C4 LRT {c4.statistic:.2f}, p {c4.p_value:.3g}")
+    print("C4's LRT at the correct candidate; under a true null it is "
+          "chi-square(1): mean 1, p < 0.05 in 5% of seeds")
+    for n, seeds in C4_SEEDS.items():
+        for label, overrides in DGP_VARIANTS:
+            res = [_c4_at_correct_candidate(
+                _dataset(n, seed, SCENARIO_BASE, **overrides))
+                for seed in seeds]
+            stats = np.array([r.statistic for r in res])
+            rejected = sum(r.p_value < 0.05 for r in res)
+            print(f"  n={n} seeds {seeds.start}..{seeds.stop - 1} {label}: "
+                  f"mean LRT {stats.mean():.2f}, p < 0.05 in "
+                  f"{rejected}/{len(res)}")
+
+
 COMMANDS = {"search": cmd_search, "estimate-spread": cmd_estimate_spread,
-            "estimate-large-n": cmd_estimate_large_n}
+            "estimate-large-n": cmd_estimate_large_n,
+            "search-large-n": cmd_search_large_n}
 
 
 def main():

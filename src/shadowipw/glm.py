@@ -141,18 +141,19 @@ def _gram_rows(Xs, r, q, w):
     return (Xs * w) @ Xs.T
 
 
-def _in_blocks(rows, n_out, Xs, *vectors):
-    # runs rows(Xs, *vectors, *outs) on equal blocks of at most BLOCK_ROWS
-    # rows, each writing its part of n_out full-length arrays, and returns
-    # the arrays and the sum of the blocks' results. A block's rows of the
-    # design, of its weighted copy and of every row array stay in cache.
-    n = Xs.shape[1]
+def _in_blocks(rows, n_out, *arrays):
+    # runs rows(*arrays, *outs) on equal blocks of at most BLOCK_ROWS rows,
+    # a row being an index of the arrays' last axis, each block writing its
+    # part of n_out full-length arrays, and returns the arrays and the sum
+    # of the blocks' results. A block's rows of the design, of its weighted
+    # copy and of every row array stay in cache.
+    n = arrays[0].shape[-1]
     outs = [np.empty(n) for _ in range(n_out)]
     total = 0.0
     k = -(-n // BLOCK_ROWS)
     for i in range(k):
         b = slice(i * n // k, (i + 1) * n // k)
-        total = total + rows(Xs[:, b], *(v[b] for v in vectors),
+        total = total + rows(*(a[..., b] for a in arrays),
                              *(o[b] for o in outs))
     return (*outs, total)
 

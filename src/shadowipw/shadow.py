@@ -18,12 +18,15 @@ are used: the equations are set up once per solve on the respondents' rows,
 with the non-respondents' h summed into one constant. The treatment is the
 shadow variable: it enters the last equation only.
 
-The root is found by damped Newton from zero. A respondent's h is weighed
-by w = 1/p - 1, and p = expit(u) with u linear in (beta, gamma), so
-dw/du = -w: the Jacobian reuses the w of the accepted iterate, and each
-candidate step costs one propensity evaluation. A solve that stalls short
-of the tolerance returns its last accepted iterate, flagged as not
-converged, so a caller sees the degenerate solve rather than a number.
+The root is found by damped Newton from zero. p = expit(u), with the logit
+u = beta . z - gamma * (y - Y_REF) linear in (beta, gamma). A respondent's
+h is weighed by the exact odds w = 1/p - 1 = exp(-u), so dw/du = -w: the
+Jacobian reuses the w of the accepted iterate, and each candidate step
+costs one exp per respondent. The Jacobian is summed over equal blocks of
+at most ``glm.BLOCK_ROWS`` respondents, as ``glm`` sums a large fit's gram.
+A solve that stalls short of the tolerance returns its last accepted
+iterate, flagged as not converged, so a caller sees the degenerate solve
+rather than a number.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import glm
 from .data import Dataset, respondent_rows
-from .glm import expit
 
 H_MODE_A_MEAN = "a_mean"
 H_MODE_A_ROW = "a_row"
@@ -99,9 +102,10 @@ def or_propensity(y, z, model: ShadowPropensityModel):
     if model.degenerate:
         out = np.ones(np.broadcast_shapes(y.shape, np.shape(zdot)))
     else:
-        pi0 = expit(np.clip(zdot, -_SAT, _SAT))
-        eta = np.exp(np.clip(model.gamma * (y - model.y_ref), -_SAT, _SAT))
-        out = or_blend(pi0, eta)
+        # the factorization's logit, the u that _Moments solves for: one
+        # expit, where or_blend's 1 - pi0 cancels as pi0 nears 1
+        u = np.clip(zdot - model.gamma * (y - model.y_ref), -_SAT, _SAT)
+        out = np.clip(glm.expit(u), _P_MIN, _P_MAX)
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,16 +165,28 @@ class _Moments:
         self.n = ds.n_rows
 
     def weights(self, theta) -> np.ndarray:
-        """w = 1/p - 1 on the respondents at theta."""
-        u = np.clip(theta @ self.Ut, -_SAT, _SAT)
-        return 1.0 / np.clip(expit(u), _P_MIN, _P_MAX) - 1.0
+        """w = 1/p - 1 = exp(-u) on the respondents at theta, where
+        u = theta @ Ut is the logit of p: the exact odds, with u clipped to
+        [-500, 500] lest exp overflow."""
+        # (-theta) @ Ut is -u bit for bit: rounding is symmetric in sign
+        w = -theta @ self.Ut
+        np.clip(w, -_SAT, _SAT, out=w)
+        return np.exp(w, out=w)
 
     def residuals(self, w) -> np.ndarray:
         return (self.Ht @ w - self.h_missing) / self.n
 
     def jacobian(self, w) -> np.ndarray:
-        # d(1/p - 1)/du = -(1/p - 1); the rows with R = 0 are constant
-        return -(self.Ht * w) @ self.Ut.T / self.n
+        # dw/du = -w; the rows with R = 0 are constant. Summed over blocks
+        # of at most glm.BLOCK_ROWS respondents, so that a block's weighted
+        # copy Ht*w stays in cache
+        return -glm._in_blocks(_jacobian_rows, 0, self.Ht, self.Ut,
+                               w)[0] / self.n
+
+
+def _jacobian_rows(Ht, Ut, w):
+    # _Moments.jacobian's product on a block's rows, before its sign and 1/n
+    return (Ht * w) @ Ut.T
 
 
 def moment_residuals(ds: Dataset, model: ShadowPropensityModel,

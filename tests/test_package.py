@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import shadowipw
 
 SRC = str(Path(shadowipw.__file__).resolve().parent.parent)
@@ -74,21 +76,26 @@ def test_cli_runs_without_scipy_and_networkx(tmp_path):
     assert reports["scipy,networkx"] == reports[""]
 
 
-def test_benchmark_bindings_resolve(monkeypatch):
-    # perfbench/ wraps or reads these names of the package at run time; a
-    # rename breaks the benchmark, not the package's own tests. The names
-    # are listed in ROADMAP.md ("Names the benchmark binds").
+@pytest.fixture
+def workloads(monkeypatch):
+    # perfbench/workloads.py, imported as the benchmark imports it
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(bench))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)   # read only
     try:
-        workloads = importlib.import_module("workloads")
-        unbound = [name for owner, attr, name in workloads.SITES
-                   if not callable(getattr(owner, attr, None))]
-        assert unbound == []
+        yield importlib.import_module("workloads")
     finally:
         for name in ("workloads", "reference"):
             sys.modules.pop(name, None)
+
+
+def test_benchmark_bindings_resolve(workloads):
+    # perfbench/ wraps or reads these names of the package at run time; a
+    # rename breaks the benchmark, not the package's own tests. The names
+    # are listed in ROADMAP.md ("Names the benchmark binds").
+    unbound = [name for owner, attr, name in workloads.SITES
+               if not callable(getattr(owner, attr, None))]
+    assert unbound == []
     from shadowipw import citest, data, estimate, shadow, simulate
     assert shadow.H_MODE_A_MEAN in shadow.H_MODES
     assert "used_fallback" in {f.name for f in
@@ -100,3 +107,19 @@ def test_benchmark_bindings_resolve(monkeypatch):
     for fn in (citest.subset_observed, estimate.subset_observed,
                data.RoleMap.from_dict, simulate.roles_for):
         assert callable(fn)
+
+
+@pytest.mark.parametrize("Z, h_mode", [
+    (("W2", "W3", "W4"), "a_mean"), (("W2", "W3", "W4"), "a_row"),
+    (("W2", "W3"), "a_mean")])
+def test_benchmark_estimate_check_passes(workloads, Z, h_mode):
+    # estimate-mc counts an operation as failed when this check reports a
+    # problem, so a solver change that breaks it fails here first
+    from shadowipw import estimate
+    from shadowipw.simulate import default_config, generate
+    ds = generate(default_config(n=10_000, seed=3))
+    model, treat, est = estimate.fit_and_weight(ds, Z, h_mode)
+    problems = workloads.check_estimate(
+        ds.column, ds.roles, Z, workloads._model_dict(model), h_mode,
+        treat.coefficients, estimate.DEFAULT_CLIP, est.ace)
+    assert problems == []

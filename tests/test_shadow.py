@@ -1,12 +1,13 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw import shadow
+from shadowipw import glm, shadow
 from shadowipw.data import Dataset, RoleMap
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               ShadowPropensityModel, ShadowError,
@@ -39,6 +40,16 @@ def shadow_dataset(beta, gamma, n, seed, y_ref=0.0):
         columns[f"Z{i+1}"] = z[:, i]
     roles = RoleMap("A", "Y", "R", "I", tuple(f"Z{i+1}" for i in range(k)))
     return Dataset(columns, roles), p_r
+
+
+def exact_or_blend(score, part):
+    """pi0 / (pi0 + eta (1 - pi0)) with pi0 = expit(score) and
+    eta = exp(part), in 50-digit decimal arithmetic, rounded to a float."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        pi0 = 1 / (1 + (-Decimal(score)).exp())
+        eta = Decimal(part).exp()
+        return float(pi0 / (pi0 + eta * (1 - pi0)))
 
 
 class TestOrPropensity:
@@ -76,6 +87,26 @@ class TestOrPropensity:
         p_lo = or_propensity(y, np.array([lo_score]), m)
         p_hi = or_propensity(y, np.array([hi_score]), m)
         assert 0.0 < p_lo <= p_hi < 1.0
+
+    @given(st.floats(-30, 30), st.floats(-3, 3), st.floats(-10, 10),
+           st.floats(-2, 2))
+    @example(30.0, 3.0, 10.0, 0.0)      # or_blend's float form is off 5e-4
+    @example(25.0, -2.0, -10.0, 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_one_logit_agrees_with_the_two_part_formula(self, score, gamma,
+                                                        y, y_ref):
+        # p = expit(z.beta - gamma (y - y_ref)) is the factorization
+        # formula with pi0 = expit(z.beta) and eta = exp(gamma (y - y_ref))
+        part = gamma * (y - y_ref)
+        assume(abs(part) <= 30.0)
+        p = or_propensity(y, np.array([score]), model([1.0], gamma, y_ref))
+        assert p == pytest.approx(exact_or_blend(score, part), rel=1e-14)
+        # the float or_blend loses about eps / (1 - pi0) relative through
+        # 1 - pi0, 3e-4 at z.beta = 30; where pi0 <= 1/2 it keeps full
+        # precision and the two agree
+        if score <= 0.0:
+            assert p == pytest.approx(
+                or_blend(expit(score), math.exp(part)), rel=1e-14)
 
     def test_extreme_arguments_saturate_without_overflow(self):
         m = model([1.0], gamma=-300.0)
@@ -163,6 +194,90 @@ class TestMomentResiduals:
         w[r == 1.0] = 1.0 / p - 1.0
         a_bar = ds.column("A").mean()
         assert res[-1] == pytest.approx(a_bar * w.mean(), rel=1e-12)
+
+
+class TestExactOddsWeights:
+    """The weights are the exact odds 1/p - 1 = exp(-u) in one pass, with u
+    clipped to [-500, 500]."""
+
+    Z = ("Z1", "Z2", "Z3")
+
+    @pytest.mark.parametrize("bound", [498.9, 500.1, 2000.0])
+    def test_equal_clipped_exp_bit_for_bit(self, bound):
+        # theta is scaled so that |theta| @ max|Ut_j|, a bound on |u|, is
+        # `bound`: below 500 the clip cannot act; above, it acts on the row
+        # that attains an axis-aligned theta's bound
+        ds, _ = shadow_dataset([0.5, -0.3, 0.2], gamma=-0.7, n=3000, seed=26)
+        moments = shadow._Moments(ds, self.Z, H_MODE_A_ROW)
+        colmax = np.abs(moments.Ut).max(axis=1)
+        rng = np.random.default_rng(27)
+        directions = [*np.eye(4), *rng.normal(size=(6, 4))]
+        for direction in directions:
+            theta = direction * bound / (np.abs(direction) @ colmax)
+            u = theta @ moments.Ut
+            want = np.exp(-np.clip(u, -500.0, 500.0))
+            assert np.array_equal(moments.weights(theta), want)
+        aligned = np.eye(4)[0] * bound / colmax[0]
+        assert (np.abs(aligned @ moments.Ut).max() > 500.0) == (bound > 500.0)
+
+    def test_odds_far_in_the_tail_are_exact(self):
+        # at u = 40, p = expit(u) rounds to 1 and is clamped to 1 - 2**-53,
+        # from which the former 1/p - 1 gave 2**-52
+        ds, _ = shadow_dataset([0.5], gamma=-0.7, n=500, seed=28)
+        cols = {n: ds.column(n) for n in ds.names}
+        cols["Z1"] = np.ones(ds.n_rows)
+        moments = shadow._Moments(Dataset(cols, ds.roles), ("Z1",),
+                                  H_MODE_A_ROW)
+        w = moments.weights(np.array([40.0, 0.0]))
+        assert np.all(w == np.exp(-40.0))
+        p = np.clip(glm.expit(40.0), shadow._P_MIN, shadow._P_MAX)
+        assert 1.0 / p - 1.0 == 2.0 ** -52
+
+
+class TestBlockedJacobian:
+    """The Jacobian is summed over equal blocks of at most glm.BLOCK_ROWS
+    respondents; one block is the one-pass sum bit for bit."""
+
+    Z = ("Z1", "Z2", "Z3")
+
+    @classmethod
+    def moments(cls, h_mode):
+        ds, _ = shadow_dataset([0.5, -0.3, 0.2], gamma=-0.7, n=5000, seed=29)
+        return shadow._Moments(ds, cls.Z, h_mode)
+
+    @staticmethod
+    def one_pass(moments, w):
+        return -(moments.Ht * w) @ moments.Ut.T / moments.n
+
+    @pytest.mark.parametrize("h_mode", [H_MODE_A_MEAN, H_MODE_A_ROW])
+    def test_blocked_matches_one_pass(self, monkeypatch, h_mode):
+        moments = self.moments(h_mode)
+        m = moments.Ut.shape[1]
+        blocked = []
+        in_blocks = glm._in_blocks
+
+        def spy(*args):
+            blocked.append(args[-1].size)
+            return in_blocks(*args)
+
+        monkeypatch.setattr(glm, "_in_blocks", spy)
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        rng = np.random.default_rng(30)
+        for theta in rng.normal(scale=0.5, size=(10, 4)):
+            w = moments.weights(theta)
+            assert moments.jacobian(w) == pytest.approx(
+                self.one_pass(moments, w), rel=1e-13)
+        assert m > 2000 and blocked == [m] * 10
+
+    def test_one_block_is_the_one_pass_sum(self, monkeypatch):
+        moments = self.moments(H_MODE_A_ROW)
+        m = moments.Ut.shape[1]
+        w = moments.weights(np.array([0.3, -0.2, 0.1, -0.8]))
+        monkeypatch.setattr(glm, "BLOCK_ROWS", m)
+        assert np.array_equal(moments.jacobian(w), self.one_pass(moments, w))
+        monkeypatch.setattr(glm, "BLOCK_ROWS", m - 1)   # two blocks
+        assert moments.jacobian(w) == pytest.approx(
+            self.one_pass(moments, w), rel=1e-13)
 
 
 def full_row_residuals(ds, Z, h_mode, theta, y_ref=0.0):
@@ -327,6 +442,16 @@ class TestSolvePropensity:
         at_zero = moment_residuals(ds, model(np.zeros(4), 0.0, names=Z),
                                    H_MODE_A_ROW)
         assert fit.residual_norm <= np.max(np.abs(at_zero))
+
+    def test_newton_steps_at_1e5_rows(self):
+        # seed 3 at 10^5 rows sums the Jacobian over 4 blocks of its
+        # respondents; the steps are those of the one-pass sum
+        from shadowipw.simulate import default_config, generate
+        ds = generate(default_config(n=100_000, seed=3))
+        fits = [solve_propensity(ds, Z)
+                for Z in (("W2", "W3", "W4"), ("W2", "W3"))]
+        assert [(f.iterations, f.converged) for f in fits] == \
+            [(7, True), (6, True)]
 
     def test_serializes_with_diagnostics(self):
         ds, _ = shadow_dataset([0.5], gamma=-1.0, n=3000, seed=3)
