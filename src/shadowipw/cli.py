@@ -167,12 +167,13 @@ seed_option = click.option("--seed", type=int, default=None,
 class _Main(click.Group):
     """The command group. Every input, fit or solve error the library
     raises is a ValueError (DataError, GlmError, ShadowError,
-    DegenerateDataError); it ends the command with its message, exit 1."""
+    DegenerateDataError); it and a file that cannot be read or written
+    (OSError) end the command with its message, exit 1."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.ClickException(str(exc)) from exc
 
 

@@ -12,10 +12,11 @@ change a bit (``fit_glm``). The Newton step solves gram @ step = score.
 A step is kept when it lowers the log-likelihood by no more than a bound
 scaled to |ll|, the rounding error of a sum over many rows. A fit may be
 warm-started; ``citest`` starts each design from a fit of a nested or a
-larger design (its start rules (a)-(d)). A fit over more than
-``BLOCK_ROWS`` rows forms its score and weighted gram in equal blocks of
-rows that stay in cache and sums the blocks' partials, so its last digits
-differ from those of a one-pass sum. Such a fit, when given no start,
+larger design (its start rules (a)-(d)). The elementwise passes run on
+all rows at once; only the score and weighted gram products are summed
+over equal blocks of at most ``BLOCK_ROWS`` rows that stay in cache
+(``_summed``), so a fit over more than ``BLOCK_ROWS`` rows differs in its
+last digits from a one-pass sum. Such a fit, when given no start,
 starts from a fit on every ``PILOT_STRIDE``-th row (the pilot fit), which
 saves it about half its Newton steps on the full rows.
 """
@@ -31,7 +32,10 @@ import numpy as np
 SEPARATION_NORM = 30.0
 MAX_ITER = 50    # IRLS iterations
 TOL = 1e-8       # converged when the score max-norm is below this
-# rows per block of a fit's score and gram passes. A 10^5 x 4 design, its
+# bound on |x| for exp(x) and expit(x), lest exp overflow
+SATURATION = 500.0
+# rows per block of the score and gram products (_summed, read at call
+# time; shadow's Jacobian uses it too). A 10^5 x 4 design, its
 # weighted copy and the row vectors overflow a 2 MiB L2 cache, while a
 # 16,384-row block of them fits. A search's fits have up to 10^4 rows and
 # must stay one block: split in two they ran about 10% slower. On 10^5-row,
@@ -61,7 +65,8 @@ class GlmFit:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """P(y=1 | X)."""
-        eta = np.clip(np.asarray(X) @ self.coefficients, -500.0, 500.0)
+        eta = np.clip(np.asarray(X) @ self.coefficients, -SATURATION,
+                      SATURATION)
         return expit(eta)
 
 
@@ -122,40 +127,22 @@ def _evaluate(beta, Xs, colmax):
     # this pass, not memory, so it runs on all rows at once.
     e = beta @ Xs
     if np.abs(beta) @ colmax > 499.0:
-        np.maximum(e, -500.0, out=e)
-        np.minimum(e, 500.0, out=e)
+        np.maximum(e, -SATURATION, out=e)
+        np.minimum(e, SATURATION, out=e)
     np.exp(e, out=e)
     return e, -float(np.sum(np.log1p(e)))
 
 
-def _score_rows(Xs, e, q, r):
-    # _fit_logistic's score statements on a block's rows, written in place
-    np.divide(1.0, np.add(1.0, e, out=q), out=q)
-    np.multiply(e, q, out=r)
-    return -(Xs @ r)
-
-
-def _gram_rows(Xs, r, q, w):
-    # _fit_logistic's gram statements on a block's rows, written in place
-    np.maximum(np.multiply(r, q, out=w), 1e-10, out=w)
-    return (Xs * w) @ Xs.T
-
-
-def _in_blocks(rows, n_out, *arrays):
-    # runs rows(*arrays, *outs) on equal blocks of at most BLOCK_ROWS rows,
-    # a row being an index of the arrays' last axis, each block writing its
-    # part of n_out full-length arrays, and returns the arrays and the sum
-    # of the blocks' results. A block's rows of the design, of its weighted
-    # copy and of every row array stay in cache.
-    n = arrays[0].shape[-1]
-    outs = [np.empty(n) for _ in range(n_out)]
-    total = 0.0
+def _summed(product, n):
+    # product(b) summed over equal blocks b of at most BLOCK_ROWS of n rows,
+    # in block order, from the first block's value: up to BLOCK_ROWS rows
+    # that is product(slice(0, n)). A block's rows of the design, of its
+    # weighted copy and of every row array stay in cache.
     k = -(-n // BLOCK_ROWS)
-    for i in range(k):
-        b = slice(i * n // k, (i + 1) * n // k)
-        total = total + rows(*(a[..., b] for a in arrays),
-                             *(o[b] for o in outs))
-    return (*outs, total)
+    total = product(slice(0, n // k))
+    for i in range(1, k):
+        total = total + product(slice(i * n // k, (i + 1) * n // k))
+    return total
 
 
 def _fit_logistic(y, Xt, start):
@@ -173,32 +160,24 @@ def _fit_logistic(y, Xt, start):
     # a constant response has its maximum at infinite coefficients; the
     # iterations below stop at a finite capped iterate, so flag it up front
     separated = y.min() == y.max()
-    # a fit of at most BLOCK_ROWS rows runs the score and gram statements
-    # on whole arrays: run through the row functions, which allocate in
-    # another order, a 10^4 x 5 fit took 6-8% longer
-    blocked = y.size > BLOCK_ROWS
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
-        if blocked:
-            q, r, score = _in_blocks(_score_rows, 2, Xs, e)
-        else:
-            # with q = 1/(1+e) the fitted probability of the observed
-            # response, y - mu = s*e*q and mu*(1-mu) = e*q*q
-            q = 1.0 / (1.0 + e)
-            r = e * q
-            score = -(Xs @ r)
+        # with q = 1/(1+e) the fitted probability of the observed response,
+        # y - mu = s*e*q and mu*(1-mu) = e*q*q
+        q = np.add(1.0, e)
+        np.divide(1.0, q, out=q)
+        r = e * q
+        score = -_summed(lambda b: Xs[:, b] @ r[b], y.size)
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum
         if iterations > 1 and np.max(np.abs(score)) < TOL:
             converged = True
             iterations -= 1
             break
-        if blocked:
-            w, gram = _in_blocks(_gram_rows, 1, Xs, r, q)
-        else:
-            w = np.maximum(r * q, 1e-10)
-            gram = (Xs * w) @ Xs.T
+        w = np.multiply(r, q)
+        np.maximum(w, 1e-10, out=w)
+        gram = _summed(lambda b: (Xs[:, b] * w[b]) @ Xs[:, b].T, y.size)
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
@@ -213,7 +192,7 @@ def _fit_logistic(y, Xt, start):
         if rank_deficient:
             # singular gram matrix: the minimum-norm solution of the
             # weighted least-squares problem for the working response z
-            eta = np.clip(beta @ Xt, -500.0, 500.0)
+            eta = np.clip(beta @ Xt, -SATURATION, SATURATION)
             sw = np.sqrt(w)
             z = eta + (2.0 * y - 1.0) * r / w
             step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
@@ -265,9 +244,11 @@ def fit_glm(y, X, start=None) -> GlmFit:
     largest, or the gram cannot be solved; such fits take the minimum-norm
     least-squares solution for the working response instead.
 
-    A fit over more than ``BLOCK_ROWS`` (16,384) rows sums its score and
-    gram matrix over equal blocks of rows, so its last digits differ from
-    a one-pass sum; a smaller fit takes one pass.
+    The elementwise passes (exp, the residuals and the weights) run on all
+    rows; the score and gram products are summed over equal blocks of at
+    most ``BLOCK_ROWS`` (16,384) rows. A fit over more rows than that
+    differs in its last digits from a one-pass sum; a smaller fit is one
+    block, the one-pass sum.
 
     ``start`` gives initial coefficients, such as a nested fit's
     coefficients with zeros appended. Without one, a fit of at most

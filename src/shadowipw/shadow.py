@@ -43,7 +43,6 @@ H_MODE_A_MEAN = "a_mean"
 H_MODE_A_ROW = "a_row"
 H_MODES = (H_MODE_A_MEAN, H_MODE_A_ROW)
 
-_SAT = 500.0  # saturation bound for expit/exp arguments
 _P_MIN = np.finfo(float).tiny
 _P_MAX = 1.0 - np.finfo(float).epsneg
 
@@ -104,7 +103,8 @@ def or_propensity(y, z, model: ShadowPropensityModel):
     else:
         # the factorization's logit, the u that _Moments solves for: one
         # expit, where or_blend's 1 - pi0 cancels as pi0 nears 1
-        u = np.clip(zdot - model.gamma * (y - model.y_ref), -_SAT, _SAT)
+        u = np.clip(zdot - model.gamma * (y - model.y_ref),
+                    -glm.SATURATION, glm.SATURATION)
         out = np.clip(glm.expit(u), _P_MIN, _P_MAX)
     return float(out) if out.ndim == 0 else out
 
@@ -167,10 +167,10 @@ class _Moments:
     def weights(self, theta) -> np.ndarray:
         """w = 1/p - 1 = exp(-u) on the respondents at theta, where
         u = theta @ Ut is the logit of p: the exact odds, with u clipped to
-        [-500, 500] lest exp overflow."""
+        +-``glm.SATURATION`` lest exp overflow."""
         # (-theta) @ Ut is -u bit for bit: rounding is symmetric in sign
         w = -theta @ self.Ut
-        np.clip(w, -_SAT, _SAT, out=w)
+        np.clip(w, -glm.SATURATION, glm.SATURATION, out=w)
         return np.exp(w, out=w)
 
     def residuals(self, w) -> np.ndarray:
@@ -178,15 +178,10 @@ class _Moments:
 
     def jacobian(self, w) -> np.ndarray:
         # dw/du = -w; the rows with R = 0 are constant. Summed over blocks
-        # of at most glm.BLOCK_ROWS respondents, so that a block's weighted
-        # copy Ht*w stays in cache
-        return -glm._in_blocks(_jacobian_rows, 0, self.Ht, self.Ut,
-                               w)[0] / self.n
-
-
-def _jacobian_rows(Ht, Ut, w):
-    # _Moments.jacobian's product on a block's rows, before its sign and 1/n
-    return (Ht * w) @ Ut.T
+        # of at most glm.BLOCK_ROWS respondents (glm._summed), so that a
+        # block's weighted copy Ht*w stays in cache
+        return -glm._summed(lambda b: (self.Ht[:, b] * w[b]) @ self.Ut[:, b].T,
+                            w.size) / self.n
 
 
 def moment_residuals(ds: Dataset, model: ShadowPropensityModel,

@@ -375,6 +375,34 @@ class TestLibraryErrors:
                 "cannot be decoded") in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("case,message", [
+        ("search_out", "No such file or directory"),
+        ("search_directory", "Is a directory"),
+        ("simulate_out", "No such file or directory"),
+        ("experiment_out_dir", "File exists"),
+    ])
+    def test_file_error_exits_one_with_message(self, tmp_path, runner, case,
+                                               message):
+        # an OSError from reading or writing a file ends the command at the
+        # same boundary as the library's errors
+        csv = simulate_csv(tmp_path, runner, n=200, seed=1, name="t.csv")
+        missing = tmp_path / "missing" / "dir"
+        args = {
+            "search_out": ["search", str(csv), *ROLE_FLAGS,
+                           "--out", str(missing / "r.json")],
+            "search_directory": ["search", str(tmp_path), *ROLE_FLAGS],
+            "simulate_out": ["simulate", "--n", "200",
+                             "--out", str(missing / "x.csv")],
+            "experiment_out_dir": ["experiment", "search", "--n-grid", "200",
+                                   "--trials", "1", "--jobs", "1",
+                                   "--out-dir", str(csv)],
+        }[case]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: [Errno" in result.output and message in result.output
+        assert "Traceback" not in result.output
+        assert not missing.parent.exists()
 
     @pytest.mark.parametrize("command", ["estimate", "pipeline"])
     def test_infinite_cell_exits_one_naming_the_column(self, tmp_path,

@@ -336,27 +336,41 @@ class TestBlockedFit:
         assert blocked.log_likelihood == pytest.approx(whole.log_likelihood,
                                                        rel=1e-12)
 
-    @pytest.mark.parametrize("n, blocks", [(1000, []),
-                                           (1001, [500, 501])])
+    @pytest.mark.parametrize("n, blocks", [(1000, [1000]),
+                                           (1001, [500, 501]),
+                                           (2001, [667, 667, 667])])
     def test_blocks_split_rows_evenly(self, monkeypatch, n, blocks):
-        # n == BLOCK_ROWS runs on whole arrays, one row more in two blocks
+        # n == BLOCK_ROWS is one block, one row more two; lists sum by
+        # concatenation, so the sum is the list of the blocks' slices
         monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
-        seen = {}
-        for name in ("_score_rows", "_gram_rows"):
-            original = getattr(glm, name)
+        slices = glm._summed(lambda b: [b], n)
+        assert [b.stop - b.start for b in slices] == blocks
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
 
-            def spy(*args, _name=name, _original=original):
-                # each function's last argument is an array over its rows
-                seen.setdefault(_name, []).append(args[-1].size)
-                return _original(*args)
+    @pytest.mark.parametrize("n, blocks", [(1000, [1000]),
+                                           (1001, [500, 501])])
+    def test_fit_runs_its_products_on_the_blocks(self, monkeypatch, n,
+                                                 blocks):
+        # a fit of at most BLOCK_ROWS rows calls its score and gram
+        # products on one block of all rows; the start skips the pilot fit
+        monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
+        summed = glm._summed
+        seen = []
 
-            monkeypatch.setattr(glm, name, spy)
+        def spy(product, rows):
+            sizes = []
+            seen.append(sizes)
+            return summed(lambda b: sizes.append(b.stop - b.start)
+                          or product(b), rows)
+
+        monkeypatch.setattr(glm, "_summed", spy)
         y, X, _ = block_case("regular", n)
-        assert fit_glm(y, X).converged
-        assert set(seen) == ({"_score_rows", "_gram_rows"} if blocks
-                             else set())
-        for name, rows in seen.items():
-            assert rows == blocks * (len(rows) // len(blocks)), name
+        fit = fit_glm(y, X, start=np.zeros(3))
+        assert fit.converged
+        # a score and a gram per iteration, and the converged pass's score
+        assert len(seen) == 2 * fit.iterations + 1
+        assert all(sizes == blocks for sizes in seen)
 
 
 def reference_fit(y, X, start=None):

@@ -254,20 +254,23 @@ class TestBlockedJacobian:
         moments = self.moments(h_mode)
         m = moments.Ut.shape[1]
         blocked = []
-        in_blocks = glm._in_blocks
+        summed = glm._summed
 
-        def spy(*args):
-            blocked.append(args[-1].size)
-            return in_blocks(*args)
+        def spy(product, rows):
+            # the rows summed and the number of blocks they were cut into
+            blocks = []
+            total = summed(lambda b: blocks.append(b) or product(b), rows)
+            blocked.append((rows, len(blocks)))
+            return total
 
-        monkeypatch.setattr(glm, "_in_blocks", spy)
+        monkeypatch.setattr(glm, "_summed", spy)
         monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
         rng = np.random.default_rng(30)
         for theta in rng.normal(scale=0.5, size=(10, 4)):
             w = moments.weights(theta)
             assert moments.jacobian(w) == pytest.approx(
                 self.one_pass(moments, w), rel=1e-13)
-        assert m > 2000 and blocked == [m] * 10
+        assert m > 2000 and blocked == [(m, -(-m // 1000))] * 10
 
     def test_one_block_is_the_one_pass_sum(self, monkeypatch):
         moments = self.moments(H_MODE_A_ROW)
