@@ -2,8 +2,9 @@
 
 Subcommands: ``simulate``, ``search``, ``estimate``, ``pipeline``, and the
 ``experiment`` group (``search`` / ``estimate``). Reports are emitted as
-JSON with the fully resolved configuration and seed embedded, so any run
-can be reproduced exactly. Exit codes: 0 success, 1 an input, fit or solve
+JSON with the fully resolved configuration embedded, so any run can be
+reproduced exactly; only ``simulate`` and the experiments draw at random,
+and they take a seed. Exit codes: 0 success, 1 an input, fit or solve
 error (the message names it), 3 the incentive/response gate failed, 4 no
 adjustment set found (2 is reserved by the argument parser for usage
 errors).
@@ -88,8 +89,8 @@ def _weighting_settings(config: dict, h_mode, clip_lo, clip_hi):
     if h_mode not in shadow.H_MODES:
         raise click.ClickException(
             f"h_mode must be one of {', '.join(shadow.H_MODES)}, got {h_mode}")
-    lo = _resolve(clip_lo, config, "clip_lo", 0.01)
-    hi = _resolve(clip_hi, config, "clip_hi", 0.99)
+    lo = _resolve(clip_lo, config, "clip_lo", estimate.DEFAULT_CLIP[0])
+    hi = _resolve(clip_hi, config, "clip_hi", estimate.DEFAULT_CLIP[1])
     if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
             and 0.0 < lo < hi < 1.0):
         raise click.ClickException(
@@ -159,7 +160,7 @@ def _with_role_options(fn):
     return fn
 
 
-seed_option = click.option("--seed", type=int, default=None,
+seed_option = click.option("--seed", type=int, default=0,
                            envvar="SHADOWIPW_SEED", show_envvar=True,
                            help="Base seed (default 0).")
 
@@ -194,7 +195,7 @@ def main():
               help="Output CSV path; oracle columns go to a sibling file.")
 def cmd_simulate(n, seed, scenario, out):
     """Draw a synthetic dataset and write it as CSV."""
-    config = default_config(n=n, seed=seed or 0, scenario=scenario)
+    config = default_config(n=n, seed=seed, scenario=scenario)
     ds = generate(config)
     write_csv(ds, out)
     click.echo(json.dumps({"n": n, "seed": config.seed, "scenario": scenario,
@@ -260,11 +261,10 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
 @click.option("--h-mode", type=click.Choice(shadow.H_MODES), default=None)
 @click.option("--clip-lo", type=float, default=None)
 @click.option("--clip-hi", type=float, default=None)
-@seed_option
 @click.option("--out", default=None)
 def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
                  covariates, alpha, max_subset_size, h_mode, clip_lo,
-                 clip_hi, seed, out):
+                 clip_hi, out):
     """Run the three-step procedure: gate test, search, then estimation."""
     config = _load_config_file(config_path)
     roles = _resolve_roles(config, treatment, outcome, response, incentive,
@@ -272,11 +272,9 @@ def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
     alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
     h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
                                                    clip_hi)
-    seed = _resolve(seed, config, "seed", 0)
-
     ds = load_csv(data, roles)
     resolved = {"alpha": alpha, "max_subset_size": max_subset_size,
-                "h_mode": h_mode, "clip": [clip_lo, clip_hi], "seed": seed,
+                "h_mode": h_mode, "clip": [clip_lo, clip_hi],
                 "roles": roles.to_dict()}
     outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
     report = {"command": "pipeline", "data": str(data),
@@ -331,7 +329,6 @@ def _emit_experiment(summary: dict, report, kind: str, out_dir) -> None:
               help="Write summary JSON and per-trial CSV here.")
 def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
     """Sensitivity/specificity of the adjustment-set search."""
-    seed = 0 if seed is None else seed
     jobs = jobs or experiments.default_jobs()
     report = experiments.run_search_experiment(
         _parse_grid(n_grid), trials, _check_alpha(alpha), seed=seed,
@@ -355,7 +352,6 @@ def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
 def cmd_experiment_estimate(n_grid, trials, alpha, methods, seed, jobs,
                             h_mode, out_dir):
     """Compare the full estimator against the oracle search and baselines."""
-    seed = 0 if seed is None else seed
     jobs = jobs or experiments.default_jobs()
     method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
     report = experiments.run_estimation_experiment(

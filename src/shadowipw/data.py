@@ -40,8 +40,7 @@ class RoleMap:
 
     def __post_init__(self):
         object.__setattr__(self, "covariates", tuple(self.covariates))
-        names = [self.treatment, self.outcome, self.response, self.incentive,
-                 *self.covariates]
+        names = list(self.all_names())
         if len(set(names)) != len(names):
             raise DataError(f"roles must reference distinct columns, got {names}")
 

@@ -41,7 +41,10 @@ class SearchOutcome:
     witness: str | None
     adjustment_set: tuple[str, ...] | None
     trail: tuple[ConditionRecord, ...]
-    tests_run: int
+
+    @property
+    def tests_run(self) -> int:
+        return len(self.trail)
 
     def to_dict(self) -> dict:
         return {
@@ -62,16 +65,16 @@ class LrtTester:
     so each design the search needs is fitted once. A design's start
     depends on the design alone (``citest``'s rules (a)-(d)), so a memo
     hit is the fit an uncached ``citest`` call would compute, and the trail
-    replays bit for bit. C2 does not involve the witness, so its record is
-    also memoized per adjustment set, and its respondent rows are sliced
-    once, at the first C2 test. The memos live as long as the tester, one
-    search.
+    replays bit for bit. C2 does not involve the witness, so the search
+    asks it about the same adjustment set under several witnesses; each
+    time, its record is recomputed from the two memoized fits. Its
+    respondent rows are sliced once, at the first C2 test. The memo lives
+    as long as the tester, one search.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
         self._observed: Dataset | None = None
-        self._c2_memo: dict[tuple, ConditionRecord] = {}
         self._fits: dict[tuple, GlmFit] = {}
 
     def __call__(self, condition, W, Z, alpha):
@@ -84,13 +87,9 @@ class LrtTester:
         return citest.test_c4(self.ds, W, Z, alpha, self._fits)
 
     def c2(self, Z, alpha):
-        key = (tuple(Z), alpha)
-        if key not in self._c2_memo:
-            if self._observed is None:
-                self._observed = citest.subset_observed(self.ds)
-            self._c2_memo[key] = citest.test_c2(self.ds, Z, alpha,
-                                                self._observed, self._fits)
-        return self._c2_memo[key]
+        if self._observed is None:
+            self._observed = citest.subset_observed(self.ds)
+        return citest.test_c2(self.ds, Z, alpha, self._observed, self._fits)
 
 
 class GraphOracleTester:
@@ -143,7 +142,7 @@ def find_adjustment_set(ds: Dataset, alpha: float,
     c1_record = tester(C1, None, (), alpha)
     trail.append(c1_record)
     if not c1_record.passed:
-        return SearchOutcome(C1_FAILED, None, None, tuple(trail), len(trail))
+        return SearchOutcome(C1_FAILED, None, None, tuple(trail))
 
     for witness in roles.covariates:
         remaining = tuple(z for z in roles.covariates if z != witness)
@@ -163,6 +162,5 @@ def find_adjustment_set(ds: Dataset, alpha: float,
                     if not record.passed:
                         break
                 else:
-                    return SearchOutcome(FOUND, witness, Z, tuple(trail),
-                                         len(trail))
-    return SearchOutcome(NOT_FOUND, None, None, tuple(trail), len(trail))
+                    return SearchOutcome(FOUND, witness, Z, tuple(trail))
+    return SearchOutcome(NOT_FOUND, None, None, tuple(trail))

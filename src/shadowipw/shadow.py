@@ -245,6 +245,8 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
         else:
             stalled = True
             break
+    if stalled:   # the attempt that stalled applied no step
+        iterations -= 1
 
     residual_norm = float(np.max(np.abs(res)))
     return ShadowPropensityModel(

@@ -81,10 +81,6 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _clip_prob(p, bounds):
-    return np.clip(p, bounds[0], bounds[1])
-
-
 def roles_for(config: DgpConfig) -> RoleMap:
     covariates = ("W1", "W2", "W3") if config.scenario == SCENARIO_HIDE_W4 \
         else ("W1", "W2", "W3", "W4")
@@ -107,21 +103,21 @@ def generate(config: DgpConfig) -> Dataset:
         0.0, np.sqrt(config.incentive_variance), n)
 
     ca = np.asarray(config.coef_a)
-    p_a = _clip_prob(expit(ca[0] + W @ ca[1:]), cb)
+    p_a = np.clip(expit(ca[0] + W @ ca[1:]), *cb)
     a = (_rng(seed, _STREAM_A).uniform(size=n) < p_a).astype(float)
 
     cy = np.asarray(config.coef_y)
     w234 = W[:, 1:] @ cy[1:]
     u_y = _rng(seed, _STREAM_Y).uniform(size=n)
-    y_arm1 = (u_y < _clip_prob(expit(cy[0] * 1.0 + w234), cb)).astype(float)
-    y_arm0 = (u_y < _clip_prob(expit(cy[0] * 0.0 + w234), cb)).astype(float)
+    y_arm1 = (u_y < np.clip(expit(cy[0] * 1.0 + w234), *cb)).astype(float)
+    y_arm0 = (u_y < np.clip(expit(cy[0] * 0.0 + w234), *cb)).astype(float)
     y_complete = np.where(a == 1.0, y_arm1, y_arm0)
 
     cr = np.asarray(config.coef_r_ref)
     ref_logit = W[:, 1:] @ cr[:3] + cr[3] * incentive
     if config.scenario == SCENARIO_ADD_A_TO_RY:
         ref_logit = ref_logit + config.a_to_ry_coef * a
-    pi0 = _clip_prob(expit(ref_logit), cb)
+    pi0 = np.clip(expit(ref_logit), *cb)
     eta = np.exp(config.gamma_true * y_complete)
     p_r = pi0 / (pi0 + eta * (1.0 - pi0))
     r = (_rng(seed, _STREAM_R).uniform(size=n) < p_r).astype(float)

@@ -1,7 +1,5 @@
-import numpy as np
 import pytest
 
-from shadowipw.data import Dataset, RoleMap
 from shadowipw.simulate import default_config, generate
 
 
@@ -21,16 +19,3 @@ def base_ds_10k():
 @pytest.fixture(scope="session")
 def base_ds_small():
     return generate(default_config(n=2000, seed=11))
-
-
-def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.0),
-                w=((0.1, 1.0), (0.2, -1.0), (-0.4, 0.0), (1.5, 2.0))):
-    """Small hand-built dataset with one missing outcome."""
-    y = np.asarray(y, dtype=float)
-    r = (~np.isnan(y)).astype(float)
-    w = np.asarray(w, dtype=float)
-    columns = {"A": np.asarray(a, float), "Y": y, "R": r,
-               "I": np.asarray(i, float),
-               "W1": w[:, 0], "W2": w[:, 1]}
-    roles = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
-    return Dataset(columns, roles)

@@ -6,10 +6,13 @@ structure makes the treatment a valid shadow variable with {Z} as the
 adjustment set, so the weighting functional, the covariate-adjustment
 functional, and the brute-force interventional mean must all coincide;
 each is evaluated here by exact enumeration through a different route.
+
+``toy_dataset`` is a four-row hand-built Dataset for the data tests.
 """
 
 import numpy as np
 
+from shadowipw.data import Dataset, RoleMap
 from shadowipw.shadow import reconstruct_propensity_from_joint
 
 
@@ -86,3 +89,16 @@ class DiscreteModel:
         y = (rng.uniform(size=n) < self.g[a, z]).astype(int)
         r = (rng.uniform(size=n) < self.h[y, z]).astype(int)
         return z, a, y, r
+
+
+def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.0),
+                w=((0.1, 1.0), (0.2, -1.0), (-0.4, 0.0), (1.5, 2.0))):
+    """Small hand-built dataset with one missing outcome."""
+    y = np.asarray(y, dtype=float)
+    r = (~np.isnan(y)).astype(float)
+    w = np.asarray(w, dtype=float)
+    columns = {"A": np.asarray(a, float), "Y": y, "R": r,
+               "I": np.asarray(i, float),
+               "W1": w[:, 0], "W2": w[:, 1]}
+    roles = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
+    return Dataset(columns, roles)

@@ -318,7 +318,7 @@ class TestCriterion8Determinism:
         for name in ("p1.json", "p2.json"):
             out = tmp_path / name
             res = runner.invoke(cli_main, ["pipeline", str(csv),
-                                           *self.ROLE_FLAGS, "--seed", "1",
+                                           *self.ROLE_FLAGS,
                                            "--out", str(out)])
             assert res.exit_code == 0, res.output
             pipeline_payloads.append(out.read_bytes())

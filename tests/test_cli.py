@@ -33,16 +33,22 @@ def simulate_csv(tmp_path, runner, n=8000, seed=5, scenario="base",
     return out
 
 
-def separate_by_treatment(csv, column, value):
-    """Rewrite csv's column as +value on treated rows and -value on the
-    others, so that it separates the treatment."""
+def rewrite_column(csv, column, cell):
+    """Rewrite csv's column as cell(treated) on each row."""
     raw = csv.read_text().splitlines()
     header = raw[0].split(",")
     a, c = header.index("A"), header.index(column)
     rows = [line.split(",") for line in raw[1:]]
     for row in rows:
-        row[c] = repr(value if row[a] == "1" else -value)
+        row[c] = cell(row[a] == "1")
     csv.write_text("\n".join([raw[0], *map(",".join, rows)]) + "\n")
+
+
+def separate_by_treatment(csv, column, value):
+    """Rewrite csv's column as +value on treated rows and -value on the
+    others, so that it separates the treatment."""
+    rewrite_column(csv, column, lambda treated: repr(value if treated
+                                                     else -value))
 
 
 class TestHelpAndVersion:
@@ -223,10 +229,27 @@ class TestReportWarnings:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["response_propensity"]["used_fallback"] is True
+        # 7 accepted steps; the failed eighth attempt is not counted
+        assert report["response_propensity"]["iterations"] == 7
         assert np.isfinite(report["estimate"]["ace"])
         [warning] = report["warnings"]
         assert warning.startswith("response propensity: the Newton solve "
                                   "stalled at residual ")
+
+    def test_column_of_zeros(self, tmp_path, runner):
+        # the response solve's Jacobian is singular at the start, and the
+        # treatment design has a zero column
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=6)
+        rewrite_column(csv, "W1", lambda treated: "0")
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", "W1,W2"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["response_propensity"]["iterations"] == 0
+        stalled, rank = report["warnings"]
+        assert stalled.startswith("response propensity: the Newton solve "
+                                  "stalled at residual ")
+        assert rank == "treatment propensity: the design is rank deficient"
 
     def test_separated_treatment_fit(self, tmp_path, runner):
         csv = simulate_csv(tmp_path, runner, n=3000, seed=6)
@@ -280,6 +303,15 @@ class TestPipelineCommand:
         assert report["estimate"] is not None
         assert report["config"]["alpha"] == 0.05
         assert report["config"]["roles"]["treatment"] == "A"
+        # pipeline draws nothing at random, so its report names no seed
+        assert "seed" not in report["config"]
+
+    def test_seed_is_a_usage_error(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=200, seed=1, name="t.csv")
+        result = runner.invoke(main, ["pipeline", str(csv), *ROLE_FLAGS,
+                                      "--seed", "1"])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
 
     def test_not_found_terminates_without_estimate(self, tmp_path, runner):
         csv = simulate_csv(tmp_path, runner, n=5000, seed=8,

@@ -12,7 +12,7 @@ from shadowipw.data import (DataError, Dataset, RoleMap, load_csv,
                             subset_observed, write_csv)
 from shadowipw.simulate import default_config, generate
 
-from conftest import toy_dataset
+from oracles import toy_dataset
 
 ROLES = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
 

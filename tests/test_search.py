@@ -74,7 +74,7 @@ class TestLrtSearch:
     def test_trail_is_replayable(self, base_ds_small, monkeypatch):
         # every record equals a fresh, uncached citest call bit for bit. The
         # exhaustive hide_w4 search revisits each Z under several witnesses,
-        # so there the tester's memos answer many of its C2 tests and fits.
+        # so there the tester's fit memo answers many of its C2 tests' fits.
         exhaustive = generate(default_config(n=2500, seed=8,
                                              scenario="hide_w4"))
         outcome = find_adjustment_set(base_ds_small, ALPHA)

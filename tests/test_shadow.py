@@ -440,11 +440,25 @@ class TestSolvePropensity:
         Z = ("W1", "W2", "W3", "W4")
         fit = solve_propensity(ds, Z, H_MODE_A_ROW)
         assert not fit.converged and fit.used_fallback
+        # the count is of accepted steps, not of the attempt that failed
+        assert fit.iterations == 6
         res = moment_residuals(ds, fit, H_MODE_A_ROW)
         assert fit.residual_norm == np.max(np.abs(res))
         at_zero = moment_residuals(ds, model(np.zeros(4), 0.0, names=Z),
                                    H_MODE_A_ROW)
         assert fit.residual_norm <= np.max(np.abs(at_zero))
+
+    def test_singular_jacobian_returns_the_start_flagged(self):
+        # a covariate column of zeros, which a CSV can hold, makes the
+        # Jacobian singular before the first step
+        ds, _ = shadow_dataset([0.6, 0.2], gamma=-0.9, n=2000, seed=4)
+        cols = {name: ds.column(name) for name in ds.names}
+        cols["Z1"] = np.zeros(ds.n_rows)
+        ds = Dataset(cols, ds.roles)
+        fit = solve_propensity(ds, ("Z1", "Z2"))
+        assert fit.beta.tolist() == [0.0, 0.0] and fit.gamma == 0.0
+        assert (fit.converged, fit.used_fallback, fit.iterations) == \
+            (False, True, 0)
 
     def test_newton_steps_at_1e5_rows(self):
         # seed 3 at 10^5 rows sums the Jacobian over 4 blocks of its
