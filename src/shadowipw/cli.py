@@ -10,8 +10,9 @@ adjustment set found (2 is reserved by the argument parser for usage
 errors).
 
 Role columns are taken from a JSON config file (``--config``) and/or
-individual flags; flags override file values. The default seed can be set
-through the SHADOWIPW_SEED environment variable.
+individual flags; flags override file values, and a file key that no
+command reads is an error. The default seed can be set through the
+SHADOWIPW_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+# the roles and every setting some command reads; a config file holds no
+# other key, so a misspelt or stale one is an error rather than ignored
+_CONFIG_KEYS = ("treatment", "outcome", "response", "incentive", "covariates",
+                "alpha", "max_subset_size", "h_mode", "clip_lo", "clip_hi")
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -52,6 +59,11 @@ def _load_config_file(path: str | None) -> dict:
         raise click.ClickException(f"config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise click.ClickException(f"config file {path} must hold an object")
+    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    if unknown:
+        raise click.ClickException(
+            f"config file {path}: unknown key {', '.join(map(repr, unknown))}"
+            f" (known: {', '.join(_CONFIG_KEYS)})")
     return config
 
 

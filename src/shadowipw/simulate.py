@@ -11,8 +11,9 @@ covariate from the emitted data (it still drives generation).
 
 Columns are drawn from per-variable counter-based RNG substreams so that
 scenario toggles leave the shared noise untouched, which keeps scenario
-comparisons paired. Counterfactual outcome columns reuse the outcome's
-noise, so they hold all exogenous noise fixed per unit.
+comparisons paired, and ``true_ace`` draws only the covariate and outcome
+streams. Counterfactual outcome columns reuse the outcome's noise, so they
+hold all exogenous noise fixed per unit.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ class DgpConfig:
         for name in ("coef_a", "coef_y", "coef_r_ref", "prob_clip"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
+        if (isinstance(self.n, bool)
+                or not isinstance(self.n, (int, np.integer)) or self.n < 1):
+            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         lo, hi = self.prob_clip
@@ -88,6 +92,21 @@ def roles_for(config: DgpConfig) -> RoleMap:
                    covariates=covariates)
 
 
+def _covariates_and_arms(config: DgpConfig):
+    """The covariates W and the two potential-outcome arms, drawn from the
+    W and Y streams alone; both arms share the outcome's noise."""
+    n, seed, cb = config.n, config.seed, config.prob_clip
+    sigma = np.asarray(config.sigma, dtype=float)
+    chol = np.linalg.cholesky(sigma)   # raises on a non-PD sigma
+    W = _rng(seed, _STREAM_W).standard_normal((n, sigma.shape[0])) @ chol.T
+    cy = np.asarray(config.coef_y)
+    w234 = W[:, 1:] @ cy[1:]
+    u_y = _rng(seed, _STREAM_Y).uniform(size=n)
+    y_arm1 = (u_y < np.clip(expit(cy[0] * 1.0 + w234), *cb)).astype(float)
+    y_arm0 = (u_y < np.clip(expit(cy[0] * 0.0 + w234), *cb)).astype(float)
+    return W, y_arm1, y_arm0
+
+
 def generate(config: DgpConfig) -> Dataset:
     """Draw a Dataset from the structural equations.
 
@@ -96,21 +115,13 @@ def generate(config: DgpConfig) -> Dataset:
     and the two counterfactual outcomes.
     """
     n, seed, cb = config.n, config.seed, config.prob_clip
-    sigma = np.asarray(config.sigma, dtype=float)
-    chol = np.linalg.cholesky(sigma)   # raises on a non-PD sigma
-    W = _rng(seed, _STREAM_W).standard_normal((n, sigma.shape[0])) @ chol.T
+    W, y_arm1, y_arm0 = _covariates_and_arms(config)
     incentive = _rng(seed, _STREAM_I).normal(
         0.0, np.sqrt(config.incentive_variance), n)
 
     ca = np.asarray(config.coef_a)
     p_a = np.clip(expit(ca[0] + W @ ca[1:]), *cb)
     a = (_rng(seed, _STREAM_A).uniform(size=n) < p_a).astype(float)
-
-    cy = np.asarray(config.coef_y)
-    w234 = W[:, 1:] @ cy[1:]
-    u_y = _rng(seed, _STREAM_Y).uniform(size=n)
-    y_arm1 = (u_y < np.clip(expit(cy[0] * 1.0 + w234), *cb)).astype(float)
-    y_arm0 = (u_y < np.clip(expit(cy[0] * 0.0 + w234), *cb)).astype(float)
     y_complete = np.where(a == 1.0, y_arm1, y_arm0)
 
     cr = np.asarray(config.coef_r_ref)
@@ -134,13 +145,19 @@ def generate(config: DgpConfig) -> Dataset:
     return Dataset(columns, roles_for(config), oracle)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)   # so a cached 1000 cannot answer 1000.0
 def true_ace(config: DgpConfig, n_oracle: int = 1_000_000) -> float:
-    """Ground-truth ACE: the mean counterfactual contrast over a large
-    oracle sample with per-unit noise held fixed across arms."""
-    big = replace(config, n=n_oracle, scenario=SCENARIO_BASE)
-    ds = generate(big)
-    return float(np.mean(ds.column(ORACLE_ARM1) - ds.column(ORACLE_ARM0)))
+    """Ground-truth ACE: the mean counterfactual contrast over ``n_oracle``
+    units with per-unit noise held fixed across arms.
+
+    Draws only the covariate (W) and outcome (Y) streams, under the base
+    scenario; no incentive, treatment or response is drawn. The two arms
+    are those ``generate`` returns as ``Y_arm1`` and ``Y_arm0`` for the
+    same config at ``n=n_oracle``, bit for bit.
+    """
+    _, y_arm1, y_arm0 = _covariates_and_arms(
+        replace(config, n=n_oracle, scenario=SCENARIO_BASE))
+    return float(np.mean(y_arm1 - y_arm0))
 
 
 def scenario_graph(scenario: str = SCENARIO_BASE) -> Dag:

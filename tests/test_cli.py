@@ -552,6 +552,35 @@ class TestArgumentChecks:
         assert message in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,setting,key", [
+        ("search", {"alpha": 0.05, "alhpa": 0.5}, "'alhpa'"),
+        ("pipeline", {"max_subset_szie": 0}, "'max_subset_szie'"),
+        ("estimate", {"h_mode": "a_row", "seed": 3}, "'seed'"),
+        ("pipeline", {"seed": 3}, "'seed'"),
+    ])
+    def test_config_file_unknown_key_named(self, tmp_path, runner, command,
+                                           setting, key):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=1, name="t.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(setting))
+        out = tmp_path / "report.json"
+        extra = ["--adjustment", "W2,W3"] if command == "estimate" else []
+        result = runner.invoke(main, [command, str(csv), *ROLE_FLAGS, *extra,
+                                      "--config", str(config),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"unknown key {key}" in result.output
+        assert not out.exists()
+
+    def test_roles_only_config_file_runs_the_pipeline(self, tmp_path, runner):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=1, name="t.csv")
+        config = tmp_path / "roles.json"
+        config.write_text(json.dumps(roles_for(default_config()).to_dict()))
+        result = runner.invoke(main, ["pipeline", str(csv), "--config",
+                                      str(config)])
+        assert result.exit_code in (EXIT_OK, EXIT_NOT_FOUND), result.output
+        assert json.loads(result.output)["config"]["alpha"] == 0.05
+
     @pytest.mark.parametrize("command,setting,message", [
         ("estimate", {"clip_lo": "0.01"}, "clip bounds"),
         ("pipeline", {"clip_hi": 0.005}, "clip bounds"),

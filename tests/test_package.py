@@ -36,6 +36,17 @@ def test_every_exported_name_resolves():
     assert "fit_and_weight" in shadowipw.__all__
 
 
+def test_acceptance_analysis_script_prints_its_usage():
+    # nothing else imports the script, and it reaches into experiments'
+    # private names, so a bare run checks that every name it imports exists
+    root = Path(__file__).resolve().parents[1]
+    result = python("docs/acceptance_analysis.py", cwd=root)
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith("usage: docs/acceptance_analysis.py "
+                                    "{search,estimate-spread,"
+                                    "estimate-large-n,search-large-n}")
+
+
 def test_cli_import_leaves_out_scipy_optimize():
     # the runtime is numpy and click: scipy and networkx are test
     # dependencies only, and importing either costs every start of the

@@ -1,12 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from shadowipw import simulate
+from shadowipw.experiments import run_estimation_experiment
 from shadowipw.search import FOUND, NOT_FOUND, GraphOracleTester, \
     find_adjustment_set
 from shadowipw.simulate import (ORACLE_ARM0, ORACLE_ARM1, ORACLE_COMPLETE,
                                 DgpConfig, default_config, generate,
                                 roles_for, scenario_graph, true_ace)
+
+BAD_SIZES = [0, -5, 2.0, True, "10"]
 
 
 class TestDefaultConfig:
@@ -30,6 +36,14 @@ class TestDefaultConfig:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             default_config(scenario="nope")
+
+    @pytest.mark.parametrize("n", BAD_SIZES)
+    def test_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            generate(default_config(n=n))
+
+    def test_numpy_integer_size_accepted(self):
+        assert generate(default_config(n=np.int64(3))).n_rows == 3
 
     def test_non_positive_definite_sigma_rejected(self):
         bad = ((1.0, 2.0, 0, 0), (2.0, 1.0, 0, 0),
@@ -104,7 +118,60 @@ class TestTrueAce:
         diff = ds.column(ORACLE_ARM1) - ds.column(ORACLE_ARM0)
         se = diff.std() / np.sqrt(diff.size)
         assert se < 0.001
-        assert value == pytest.approx(diff.mean(), abs=1e-12)
+        assert value == diff.mean()
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": 0}, {"seed": 11}, {"seed": 2**64 + 3},
+        {"seed": 5, "scenario": "add_a_to_ry"},
+        {"seed": 6, "scenario": "hide_w4"},
+        {"seed": 7, "prob_clip": (0.0, 1.0)},
+        {"seed": 8, "gamma_true": 0.0},
+        {"seed": 9, "coef_y": (0.0, 2.0, 2.0, 2.0)},
+    ])
+    def test_equals_the_mean_of_generated_arms(self, overrides):
+        # the truth reads the base scenario at n_oracle rows, whatever the
+        # config's own n and scenario
+        cfg = default_config(n=37, **overrides)
+        m = 20_000
+        ds = generate(replace(cfg, n=m, scenario="base"))
+        arms = np.mean(ds.column(ORACLE_ARM1) - ds.column(ORACLE_ARM0))
+        assert true_ace(cfg, m) == arms
+
+    def test_draws_only_the_covariate_and_outcome_streams(self, monkeypatch):
+        streams, datasets = [], []
+        rng, dataset = simulate._rng, simulate.Dataset
+
+        def spy_rng(seed, stream):
+            streams.append(stream)
+            return rng(seed, stream)
+
+        def spy_dataset(*args, **kwargs):
+            datasets.append(args)
+            return dataset(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "_rng", spy_rng)
+        monkeypatch.setattr(simulate, "Dataset", spy_dataset)
+        cfg = default_config(seed=21)
+        true_ace.__wrapped__(cfg, 1000)     # past the cache
+        assert sorted(streams) == [simulate._STREAM_W, simulate._STREAM_Y]
+        assert datasets == []
+        # the spies see what generate draws and builds
+        generate(replace(cfg, n=1000))
+        assert sorted(streams[2:]) == [1, 2, 3, 4, 5]
+        assert len(datasets) == 1
+
+    @pytest.mark.parametrize("n_oracle", BAD_SIZES)
+    def test_oracle_size_must_be_a_positive_integer(self, n_oracle):
+        # a cached value for an equal size of another type does not answer
+        cfg = default_config(seed=22)
+        true_ace(cfg, 2)
+        true_ace(cfg, 1)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            true_ace(cfg, n_oracle)
+
+    def test_estimation_experiment_refuses_an_empty_oracle(self):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            run_estimation_experiment([100], 1, 0.05, n_oracle=0)
 
     def test_doubling_oracle_size_is_stable(self):
         cfg = default_config()
