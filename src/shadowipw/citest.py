@@ -115,7 +115,7 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
     if (W is None) != (cond.added is not None):
         raise GlmError(f"condition {condition} takes "
                        f"{'no' if cond.added else 'a'} witness, got {W!r}")
-    _check_adjustment(roles, W, Z)
+    roles.check_adjustment(Z, W)
     rows = ds
     if cond.respondents_only:
         rows = subset_observed(ds) if observed is None else observed
@@ -224,16 +224,3 @@ def test_c4(ds: Dataset, W: str, Z, alpha: float,
             fits: dict | None = None) -> ConditionRecord:
     """Witness W must be independent of the response given treatment and Z."""
     return run_condition(C4, ds, W, Z, alpha, fits=fits)
-
-
-def _check_adjustment(roles, W, Z):
-    for i, z in enumerate(Z):
-        if z not in roles.covariates:
-            raise GlmError(f"adjustment column {z!r} is not a covariate")
-        if z in Z[:i]:
-            raise GlmError(f"adjustment column {z!r} appears more than once")
-    if W is not None:
-        if W in Z:
-            raise GlmError(f"witness {W!r} may not appear in the adjustment set")
-        if W not in roles.covariates:
-            raise GlmError(f"witness {W!r} is not a covariate")

@@ -25,7 +25,8 @@ import click
 
 from . import __version__, estimate, experiments, shadow
 from .data import RoleMap, load_csv, write_csv
-from .search import C1_FAILED, FOUND, NOT_FOUND, find_adjustment_set
+from .search import (C1_FAILED, FOUND, NOT_FOUND, check_search_settings,
+                     find_adjustment_set)
 from .simulate import SCENARIOS, default_config, generate
 
 EXIT_OK = 0
@@ -44,10 +45,14 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-# the roles and every setting some command reads; a config file holds no
-# other key, so a misspelt or stale one is an error rather than ignored
-_CONFIG_KEYS = ("treatment", "outcome", "response", "incentive", "covariates",
-                "alpha", "max_subset_size", "h_mode", "clip_lo", "clip_hi")
+# the roles and every setting some command reads, with their defaults; a
+# config file holds no other key, so a misspelt or stale one is an error
+# rather than ignored
+_SETTINGS = {"treatment": None, "outcome": None, "response": None,
+             "incentive": None, "covariates": None, "alpha": 0.05,
+             "max_subset_size": None, "h_mode": shadow.H_MODE_A_MEAN,
+             "clip_lo": estimate.DEFAULT_CLIP[0],
+             "clip_hi": estimate.DEFAULT_CLIP[1]}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -59,55 +64,37 @@ def _load_config_file(path: str | None) -> dict:
         raise click.ClickException(f"config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise click.ClickException(f"config file {path} must hold an object")
-    unknown = [key for key in config if key not in _CONFIG_KEYS]
+    unknown = [key for key in config if key not in _SETTINGS]
     if unknown:
         raise click.ClickException(
             f"config file {path}: unknown key {', '.join(map(repr, unknown))}"
-            f" (known: {', '.join(_CONFIG_KEYS)})")
+            f" (known: {', '.join(_SETTINGS)})")
     return config
 
 
-def _resolve(flag_value, config: dict, key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _check_alpha(alpha):
-    """The test level, from a flag or a config file, must lie in (0, 1)."""
-    if not isinstance(alpha, (int, float)) or not 0.0 < alpha < 1.0:
-        raise click.ClickException(f"alpha must lie in (0, 1), got {alpha}")
-    return alpha
-
-
-def _search_settings(config: dict, alpha, max_subset_size):
-    """The test level and the subset-size bound (None or an integer >= 0),
-    from flags or the config file, checked before the data are read."""
-    alpha = _check_alpha(_resolve(alpha, config, "alpha", 0.05))
-    size = _resolve(max_subset_size, config, "max_subset_size")
-    if size is not None and (isinstance(size, bool)
-                             or not isinstance(size, int) or size < 0):
+def _settings(config_path, **flags) -> dict:
+    """A command's settings: each the flag if given, else the config-file
+    value, else the default; the roles as a RoleMap under ``roles``. The
+    library's rules are applied before the data are read."""
+    config = _load_config_file(config_path)
+    s = {key: config.get(key, _SETTINGS[key]) if value is None else value
+         for key, value in flags.items()}
+    if isinstance(s["covariates"], str):
+        s["covariates"] = [c.strip() for c in s["covariates"].split(",")
+                           if c.strip()]
+    roles = {key: s.pop(key) for key in ("treatment", "outcome", "response",
+                                         "incentive", "covariates")}
+    missing = [key for key, value in roles.items() if value is None]
+    if missing:
         raise click.ClickException(
-            f"max_subset_size must be an integer >= 0, got {size}")
-    return alpha, size
-
-
-def _weighting_settings(config: dict, h_mode, clip_lo, clip_hi):
-    """The h mode and the clip bounds (0 < lo < hi < 1), from flags or the
-    config file, checked before the data are read."""
-    h_mode = _resolve(h_mode, config, "h_mode", shadow.H_MODE_A_MEAN)
-    if h_mode not in shadow.H_MODES:
-        raise click.ClickException(
-            f"h_mode must be one of {', '.join(shadow.H_MODES)}, got {h_mode}")
-    lo = _resolve(clip_lo, config, "clip_lo", estimate.DEFAULT_CLIP[0])
-    hi = _resolve(clip_hi, config, "clip_hi", estimate.DEFAULT_CLIP[1])
-    if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))
-            and 0.0 < lo < hi < 1.0):
-        raise click.ClickException(
-            f"clip bounds must satisfy 0 < lo < hi < 1, got ({lo}, {hi})")
-    return h_mode, lo, hi
+            "missing role configuration: " + ", ".join(sorted(missing)))
+    s["roles"] = RoleMap.from_dict(roles)
+    if "alpha" in s:
+        check_search_settings(s["alpha"], s["max_subset_size"])
+    if "h_mode" in s:
+        shadow.check_h_mode(s["h_mode"])
+        estimate.check_clip_bounds(s["clip_lo"], s["clip_hi"])
+    return s
 
 
 def _estimate_report(model, treat, est) -> dict:
@@ -133,25 +120,6 @@ def _estimate_report(model, treat, est) -> dict:
                 "coefficients": [float(c) for c in treat.coefficients],
                 "converged": treat.converged, "separated": treat.separated},
             "estimate": est.to_dict(), "warnings": warnings}
-
-
-def _resolve_roles(config: dict, treatment, outcome, response, incentive,
-                   covariates) -> RoleMap:
-    values = {
-        "treatment": _resolve(treatment, config, "treatment"),
-        "outcome": _resolve(outcome, config, "outcome"),
-        "response": _resolve(response, config, "response"),
-        "incentive": _resolve(incentive, config, "incentive"),
-    }
-    cov = _resolve(covariates, config, "covariates")
-    if isinstance(cov, str):
-        cov = [c.strip() for c in cov.split(",") if c.strip()]
-    values["covariates"] = cov
-    missing = [k for k, v in values.items() if v is None]
-    if missing:
-        raise click.ClickException(
-            "missing role configuration: " + ", ".join(sorted(missing)))
-    return RoleMap.from_dict(values)
 
 
 _ROLE_OPTIONS = [
@@ -180,8 +148,9 @@ seed_option = click.option("--seed", type=int, default=0,
 class _Main(click.Group):
     """The command group. Every input, fit or solve error the library
     raises is a ValueError (DataError, GlmError, ShadowError,
-    DegenerateDataError); it and a file that cannot be read or written
-    (OSError) end the command with its message, exit 1."""
+    DegenerateDataError, or a setting that its library rule refuses); it
+    and a file that cannot be read or written (OSError) end the command
+    with its message, exit 1."""
 
     def invoke(self, ctx):
         try:
@@ -221,18 +190,14 @@ def cmd_simulate(n, seed, scenario, out):
 @click.option("--alpha", type=float, default=None, help="Test level.")
 @click.option("--max-subset-size", type=int, default=None)
 @click.option("--out", default=None, help="Report path (default stdout).")
-def cmd_search(data, config_path, treatment, outcome, response, incentive,
-               covariates, alpha, max_subset_size, out):
+def cmd_search(data, out, **flags):
     """Search for a witness and adjustment set on a CSV dataset."""
-    config = _load_config_file(config_path)
-    roles = _resolve_roles(config, treatment, outcome, response, incentive,
-                           covariates)
-    alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
-    ds = load_csv(data, roles)
-    outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
-    report = {"command": "search", "data": str(data), "alpha": alpha,
-              "max_subset_size": max_subset_size, "roles": roles.to_dict(),
-              "outcome": outcome_.to_dict()}
+    s = _settings(**flags)
+    ds = load_csv(data, s["roles"])
+    outcome_ = find_adjustment_set(ds, s["alpha"], s["max_subset_size"])
+    report = {"command": "search", "data": str(data), "alpha": s["alpha"],
+              "max_subset_size": s["max_subset_size"],
+              "roles": s["roles"].to_dict(), "outcome": outcome_.to_dict()}
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 
@@ -246,22 +211,17 @@ def cmd_search(data, config_path, treatment, outcome, response, incentive,
 @click.option("--clip-lo", type=float, default=None)
 @click.option("--clip-hi", type=float, default=None)
 @click.option("--out", default=None)
-def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
-                 covariates, adjustment, h_mode, clip_lo, clip_hi, out):
+def cmd_estimate(data, adjustment, out, **flags):
     """Estimate the average causal effect with a given adjustment set."""
-    config = _load_config_file(config_path)
-    roles = _resolve_roles(config, treatment, outcome, response, incentive,
-                           covariates)
-    h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
-                                                   clip_hi)
+    s = _settings(**flags)
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
-    ds = load_csv(data, roles)
-    model, treat, est = estimate.fit_and_weight(ds, Z, h_mode,
-                                                (clip_lo, clip_hi))
+    ds = load_csv(data, s["roles"])
+    clip = [s["clip_lo"], s["clip_hi"]]
     report = {"command": "estimate", "data": str(data),
-              "roles": roles.to_dict(), "adjustment": list(Z),
-              "h_mode": h_mode, "clip": [clip_lo, clip_hi],
-              **_estimate_report(model, treat, est)}
+              "roles": s["roles"].to_dict(), "adjustment": list(Z),
+              "h_mode": s["h_mode"], "clip": clip,
+              **_estimate_report(*estimate.fit_and_weight(
+                  ds, Z, s["h_mode"], tuple(clip)))}
     _emit(report, out)
 
 
@@ -274,28 +234,22 @@ def cmd_estimate(data, config_path, treatment, outcome, response, incentive,
 @click.option("--clip-lo", type=float, default=None)
 @click.option("--clip-hi", type=float, default=None)
 @click.option("--out", default=None)
-def cmd_pipeline(data, config_path, treatment, outcome, response, incentive,
-                 covariates, alpha, max_subset_size, h_mode, clip_lo,
-                 clip_hi, out):
+def cmd_pipeline(data, out, **flags):
     """Run the three-step procedure: gate test, search, then estimation."""
-    config = _load_config_file(config_path)
-    roles = _resolve_roles(config, treatment, outcome, response, incentive,
-                           covariates)
-    alpha, max_subset_size = _search_settings(config, alpha, max_subset_size)
-    h_mode, clip_lo, clip_hi = _weighting_settings(config, h_mode, clip_lo,
-                                                   clip_hi)
-    ds = load_csv(data, roles)
-    resolved = {"alpha": alpha, "max_subset_size": max_subset_size,
-                "h_mode": h_mode, "clip": [clip_lo, clip_hi],
-                "roles": roles.to_dict()}
-    outcome_ = find_adjustment_set(ds, alpha, max_subset_size)
+    s = _settings(**flags)
+    ds = load_csv(data, s["roles"])
+    clip = [s["clip_lo"], s["clip_hi"]]
+    resolved = {"alpha": s["alpha"], "max_subset_size": s["max_subset_size"],
+                "h_mode": s["h_mode"], "clip": clip,
+                "roles": s["roles"].to_dict()}
+    outcome_ = find_adjustment_set(ds, s["alpha"], s["max_subset_size"])
     report = {"command": "pipeline", "data": str(data),
               "config": resolved, "search": outcome_.to_dict(),
               "response_propensity": None, "treatment_propensity": None,
               "estimate": None, "warnings": []}
     if outcome_.status == FOUND:
         report.update(_estimate_report(*estimate.fit_and_weight(
-            ds, outcome_.adjustment_set, h_mode, (clip_lo, clip_hi))))
+            ds, outcome_.adjustment_set, s["h_mode"], tuple(clip))))
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 
@@ -343,7 +297,7 @@ def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
     """Sensitivity/specificity of the adjustment-set search."""
     jobs = jobs or experiments.default_jobs()
     report = experiments.run_search_experiment(
-        _parse_grid(n_grid), trials, _check_alpha(alpha), seed=seed,
+        _parse_grid(n_grid), trials, alpha, seed=seed,
         jobs=jobs, oracle=oracle)
     summary = {"command": "experiment search", "oracle": oracle,
                "jobs_invariant": True, **report.to_dict()}
@@ -367,8 +321,7 @@ def cmd_experiment_estimate(n_grid, trials, alpha, methods, seed, jobs,
     jobs = jobs or experiments.default_jobs()
     method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
     report = experiments.run_estimation_experiment(
-        _parse_grid(n_grid), trials, _check_alpha(alpha),
-        methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
+        _parse_grid(n_grid), trials, alpha, methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
     summary = {"command": "experiment estimate", **report.to_dict()}
     _emit_experiment(summary, report, "estimate", out_dir)
 

@@ -58,6 +58,24 @@ class RoleMap:
     def to_dict(self) -> dict:
         return {**asdict(self), "covariates": list(self.covariates)}
 
+    def check_adjustment(self, Z, witness=None) -> None:
+        """Refuse an adjustment set that names a column other than a
+        covariate or names one twice, and a witness that is not a
+        covariate or lies in the set."""
+        Z = tuple(Z)
+        for i, z in enumerate(Z):
+            if z not in self.covariates:
+                raise DataError(f"adjustment column {z!r} is not a covariate")
+            if z in Z[:i]:
+                raise DataError(f"adjustment column {z!r} appears more than "
+                                "once")
+        if witness is not None:
+            if witness in Z:
+                raise DataError(f"witness {witness!r} may not appear in the "
+                                "adjustment set")
+            if witness not in self.covariates:
+                raise DataError(f"witness {witness!r} is not a covariate")
+
 
 class Dataset:
     """Immutable column-major table whose roles are validated eagerly.

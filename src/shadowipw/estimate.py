@@ -14,6 +14,7 @@ deliberately insufficient adjustment set.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,16 +46,24 @@ class AceEstimate:
         return asdict(self)
 
 
+def check_clip_bounds(lo, hi) -> None:
+    """Refuse clip bounds other than real numbers with 0 < lo < hi < 1."""
+    if not (isinstance(lo, numbers.Real) and isinstance(hi, numbers.Real)
+            and 0.0 < lo < hi < 1.0):
+        raise ValueError("clip bounds must satisfy 0 < lo < hi < 1, "
+                         f"got ({lo}, {hi})")
+
+
 def clip(p, lo: float = DEFAULT_CLIP[0], hi: float = DEFAULT_CLIP[1]):
     """Truncate propensities into [lo, hi]."""
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"need 0 < lo < hi < 1, got ({lo}, {hi})")
+    check_clip_bounds(lo, hi)
     return np.minimum(hi, np.maximum(lo, p))
 
 
 def fit_treatment_propensity(ds: Dataset, Z) -> GlmFit:
     """Logistic fit of the treatment on the adjustment set, over all rows."""
     roles = ds.roles
+    roles.check_adjustment(Z)
     a = ds.column(roles.treatment)
     X = design_matrix(ds.n_rows, *(ds.column(z) for z in Z))
     return fit_glm(a, X)
@@ -81,6 +90,7 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
     lo, hi = clip_bounds
     roles = ds.roles
     Z = tuple(Z)
+    roles.check_adjustment(Z)
     if Z != tuple(shadow.adjustment):
         raise ValueError(f"adjustment set {Z} does not match the fitted "
                          f"response-propensity model {shadow.adjustment}")

@@ -13,7 +13,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import estimate, shadow
-from .search import FOUND, GraphOracleTester, find_adjustment_set
+from .search import (FOUND, GraphOracleTester, check_search_settings,
+                     find_adjustment_set)
 from .simulate import (SCENARIO_ADD_A_TO_RY, SCENARIO_BASE, SCENARIO_HIDE_W4,
                        default_config, generate, scenario_graph, true_ace)
 
@@ -112,9 +113,10 @@ def _distinct(values, what: str) -> tuple:
     return values
 
 
-def _check_design(sample_sizes, trials: int) -> tuple:
-    """The sample-size grid as a tuple, once its sizes are known to be
-    distinct and >= 1 and ``trials`` to be >= 1."""
+def _check_design(sample_sizes, trials: int, alpha) -> tuple:
+    """The sample-size grid as a tuple, once ``alpha`` is known to lie in
+    (0, 1), the sizes to be distinct and >= 1 and ``trials`` to be >= 1."""
+    check_search_settings(alpha)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sample_sizes = _distinct(sample_sizes, "sample sizes")
@@ -145,7 +147,7 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     With ``oracle=True`` the likelihood-ratio tests are replaced by
     d-separation on the generating graph.
     """
-    sample_sizes = _check_design(sample_sizes, trials)
+    sample_sizes = _check_design(sample_sizes, trials, alpha)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
@@ -243,21 +245,23 @@ def _estimation_trial(args):
 
 def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
                               methods=ALL_METHODS, seed: int = 0,
-                              jobs: int = 1, h_mode: str = shadow.H_MODE_A_MEAN,
-                              n_oracle: int = 1_000_000
+                              jobs: int = 1, h_mode: str = shadow.H_MODE_A_MEAN
                               ) -> EstimationExperimentReport:
-    """ACE estimates per (sample size, method) across simulated trials.
+    """ACE estimates per (sample size, method) across simulated trials,
+    scored against the 10^6-row ``true_ace`` of the default config.
 
     ``full``-method trials where the search finds no set are recorded as
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
-    sample_sizes = _check_design(sample_sizes, trials)
+    sample_sizes = _check_design(sample_sizes, trials, alpha)
     methods = _distinct(methods, "methods")
     for m in methods:
         if m not in ALL_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    truth = true_ace(default_config(), n_oracle)
+    shadow.check_h_mode(h_mode)
+    # positional, the key under which a caller may have cached the truth
+    truth = true_ace(default_config(), 1_000_000)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):

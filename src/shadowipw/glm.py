@@ -50,7 +50,8 @@ PILOT_STRIDE = 16
 
 
 class GlmError(ValueError):
-    """Raised on invalid designs or test preconditions."""
+    """Raised on invalid designs or test preconditions; an adjustment set
+    or witness that the roles refuse is a ``DataError``."""
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ encoded as p-values 1.0/0.0.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 from . import citest
@@ -122,6 +123,19 @@ class GraphOracleTester:
         return ConditionRecord(condition, W, tuple(Z), result)
 
 
+def check_search_settings(alpha, max_subset_size=None) -> None:
+    """Refuse a test level that is not a real number in (0, 1), and a
+    subset-size bound that is neither None nor an integer >= 0. NumPy
+    scalars pass; bools, strings and NaN do not."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    size = max_subset_size
+    if size is not None and (isinstance(size, bool) or not isinstance(
+            size, numbers.Integral) or size < 0):
+        raise ValueError("max_subset_size must be an integer >= 0, "
+                         f"got {size}")
+
+
 def find_adjustment_set(ds: Dataset, alpha: float,
                         max_subset_size: int | None = None,
                         tester=None) -> SearchOutcome:
@@ -130,6 +144,7 @@ def find_adjustment_set(ds: Dataset, alpha: float,
     A test error (degenerate endpoint, empty subset) aborts only the
     candidate that raised it; the error is recorded in the trail.
     """
+    check_search_settings(alpha, max_subset_size)
     roles = ds.roles
     if len(roles.covariates) < 2:
         raise ValueError("search needs at least two covariates "

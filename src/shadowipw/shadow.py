@@ -52,7 +52,15 @@ MAX_ITER = 100   # Newton iterations
 
 
 class ShadowError(ValueError):
-    """Raised on invalid joints or adjustment sets."""
+    """Raised on an invalid joint, a z of the wrong width, or data with no
+    observed outcome."""
+
+
+def check_h_mode(h_mode) -> None:
+    """Refuse an h mode other than those of ``H_MODES``."""
+    if h_mode not in H_MODES:
+        raise ValueError(f"h_mode must be one of {', '.join(H_MODES)}, "
+                         f"got {h_mode}")
 
 
 @dataclass(frozen=True)
@@ -143,14 +151,8 @@ class _Moments:
 
     def __init__(self, ds: Dataset, adjustment, h_mode, y_ref=Y_REF):
         roles = ds.roles
-        for i, z in enumerate(adjustment):
-            if z not in roles.covariates:
-                raise ShadowError(f"adjustment column {z!r} is not a covariate")
-            if z in adjustment[:i]:
-                raise ShadowError(f"adjustment column {z!r} appears more "
-                                  f"than once")
-        if h_mode not in H_MODES:
-            raise ShadowError(f"unknown h mode {h_mode!r}")
+        roles.check_adjustment(adjustment)
+        check_h_mode(h_mode)
         r = ds.column(roles.response)
         rows = respondent_rows(ds)
         a = ds.column(roles.treatment)

@@ -6,8 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from shadowipw import estimate
-from shadowipw.cli import (EXIT_C1_FAILED, EXIT_NOT_FOUND, EXIT_OK,
-                           _estimate_report, main)
+from shadowipw.cli import (_SETTINGS, EXIT_C1_FAILED, EXIT_NOT_FOUND,
+                           EXIT_OK, _estimate_report, main)
 from shadowipw.data import RoleMap, load_csv, write_csv
 from shadowipw.glm import GlmFit
 from shadowipw.shadow import ShadowPropensityModel
@@ -600,3 +600,61 @@ class TestArgumentChecks:
                                       "--config", str(config)])
         assert result.exit_code == 1
         assert message in result.output
+
+
+def test_settings_table_lists_every_setting_option():
+    # a setting option that the table lacks could not come from a config
+    # file, and a config key that no option has could never be set
+    options = set()
+    for command in ("search", "estimate", "pipeline"):
+        options |= {p.name for p in main.commands[command].params}
+    assert options - {"data", "config_path", "adjustment", "out"} == \
+        set(_SETTINGS)
+
+
+class TestSettingSources:
+    """A setting gives the same report whichever way it arrives, and a flag
+    overrides the config file."""
+
+    ROLES = {"treatment": "A", "outcome": "Y", "response": "R",
+             "incentive": "I"}
+
+    @pytest.mark.parametrize("command", [
+        ["search"], ["estimate", "--adjustment", "W2,W3,W4"], ["pipeline"]])
+    def test_covariates_from_list_string_or_flag(self, tmp_path, runner,
+                                                 command):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=1, name="t.csv")
+        config = tmp_path / "config.json"
+        outputs = []
+        for covariates in (["W1", "W2", "W3", "W4"], " W1, W2 ,W3,W4 ",
+                           None):
+            flags = ["--covariates", "W1,W2,W3,W4"] if covariates is None \
+                else []
+            config.write_text(json.dumps(
+                self.ROLES if covariates is None
+                else {**self.ROLES, "covariates": covariates}))
+            result = runner.invoke(main, [command[0], str(csv), *command[1:],
+                                          "--config", str(config), *flags])
+            assert result.exit_code in (EXIT_OK, EXIT_NOT_FOUND), \
+                result.output
+            outputs.append(result.output)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("key, config_value, flag_value", [
+        ("alpha", 0.2, "0.1"), ("max_subset_size", 3, "1"),
+        ("h_mode", "a_mean", "a_row"), ("clip_lo", 0.02, "0.05"),
+        ("clip_hi", 0.98, "0.95")])
+    def test_flag_overrides_config(self, tmp_path, runner, key,
+                                   config_value, flag_value):
+        csv = simulate_csv(tmp_path, runner, n=2000, seed=1, name="t.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**roles_for(default_config()).to_dict(), key: config_value}))
+        flag = ["--" + key.replace("_", "-"), flag_value]
+        results = [runner.invoke(main, ["pipeline", str(csv), *args])
+                   for args in (["--config", str(config), *flag],
+                                [*ROLE_FLAGS, *flag],
+                                ["--config", str(config)])]
+        assert {r.exit_code for r in results} <= {EXIT_OK, EXIT_NOT_FOUND}
+        overridden, flag_only, config_only = (r.output for r in results)
+        assert overridden == flag_only != config_only

@@ -367,3 +367,25 @@ class TestSubsetObserved:
         ds = generate(default_config(n=10000, seed=2))
         frac = subset_observed(ds).n_rows / ds.n_rows
         assert abs(frac - 0.60) < 0.05
+
+
+class TestCheckAdjustment:
+    ROLES = RoleMap("A", "Y", "R", "I", ("W1", "W2", "W3"))
+
+    @pytest.mark.parametrize("Z, witness, message", [
+        (("A",), None, "adjustment column 'A' is not a covariate"),
+        (["W1", "Y"], None, "adjustment column 'Y' is not a covariate"),
+        (("W2", "W1", "W2"), None,
+         "adjustment column 'W2' appears more than once"),
+        (("W1",), "W1", "witness 'W1' may not appear in the adjustment set"),
+        (("W1",), "I", "witness 'I' is not a covariate"),
+    ])
+    def test_refused(self, Z, witness, message):
+        with pytest.raises(DataError) as raised:
+            self.ROLES.check_adjustment(Z, witness)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("Z, witness", [
+        ((), None), (("W3", "W1"), None), (["W2"], "W1"), ((), "W3")])
+    def test_accepted(self, Z, witness):
+        self.ROLES.check_adjustment(Z, witness)

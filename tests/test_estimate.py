@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw.data import Dataset, RoleMap
+from shadowipw.data import DataError, Dataset, RoleMap
 from shadowipw.estimate import (METHOD_IGNORE_MISSINGNESS,
                                 METHOD_WRONG_ADJUSTMENT,
                                 baseline_ignore_missingness,
@@ -320,3 +322,51 @@ class TestBaselines:
         est = baseline_ignore_missingness(ds, ("W1",))
         d = est.to_dict()
         assert d["ace"] == pytest.approx(d["mean_treated"] - d["mean_control"])
+
+
+class TestLibraryRules:
+    """Each entry point that takes clip bounds or an adjustment set refuses
+    a bad one with the command line's message."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0.99), (0.01, 1), (0.9, 0.1), (float("nan"), 0.99),
+        ("0.01", 0.99), (True, 0.99), (0.01, None)], ids=repr)
+    def test_clip_bounds_refused(self, base_ds_small, lo, hi):
+        ds = base_ds_small
+        message = re.escape("clip bounds must satisfy 0 < lo < hi < 1, "
+                            f"got ({lo}, {hi})")
+        for call in (lambda: clip(0.5, lo, hi),
+                     lambda: fit_and_weight(ds, CORRECT_SET,
+                                            clip_bounds=(lo, hi)),
+                     lambda: baseline_ignore_missingness(ds, CORRECT_SET,
+                                                         (lo, hi)),
+                     lambda: baseline_wrong_adjustment(ds,
+                                                       clip_bounds=(lo, hi))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_numpy_clip_bounds_accepted(self, base_ds_small):
+        bounds = (np.float32(0.01), np.float64(0.99))
+        assert clip(0.001, *bounds) == np.float32(0.01)
+        est = fit_and_weight(base_ds_small, CORRECT_SET,
+                             clip_bounds=bounds)[2]
+        assert np.isfinite(est.ace)
+
+    @pytest.mark.parametrize("Z, message", [
+        (("A",), "adjustment column 'A' is not a covariate"),
+        (("Y",), "adjustment column 'Y' is not a covariate"),
+        (("W2", "I"), "adjustment column 'I' is not a covariate"),
+        (("W9",), "adjustment column 'W9' is not a covariate"),
+        (("W2", "W2"), "adjustment column 'W2' appears more than once"),
+    ])
+    def test_adjustment_set_refused(self, base_ds_small, Z, message):
+        ds = base_ds_small
+        model = ShadowPropensityModel.trivial(Z)
+        treat = oracle_treatment_fit(ds.n_rows, *np.zeros(len(Z) + 1))
+        for call in (lambda: fit_treatment_propensity(ds, Z),
+                     lambda: ipw_ace(ds, Z, model, treat),
+                     lambda: fit_and_weight(ds, Z),
+                     lambda: baseline_ignore_missingness(ds, Z),
+                     lambda: baseline_wrong_adjustment(ds, Z)):
+            with pytest.raises(DataError, match=re.escape(message)):
+                call()

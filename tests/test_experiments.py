@@ -6,6 +6,8 @@ from shadowipw.estimate import (METHOD_FULL, METHOD_IGNORE_MISSINGNESS,
 from shadowipw.experiments import (run_estimation_experiment,
                                    run_search_experiment)
 
+BAD_ALPHAS = [0, 1, 1.5, float("nan"), "0.05", True]
+
 
 class TestSearchExperiment:
     def test_oracle_backend_is_perfect(self):
@@ -61,7 +63,7 @@ class TestEstimationExperiment:
         kwargs = dict(sample_sizes=[600], trials=3, alpha=0.05,
                       methods=(METHOD_ORACLE_SEARCH,
                                METHOD_IGNORE_MISSINGNESS),
-                      seed=7, n_oracle=50_000)
+                      seed=7)
         a = run_estimation_experiment(jobs=1, **kwargs)
         b = run_estimation_experiment(jobs=2, **kwargs)
         assert a == b
@@ -73,8 +75,7 @@ class TestEstimationExperiment:
         # at n=400 the tests are underpowered, so the search often fails;
         # those trials must show up in the exclusion count, not the medians
         report = run_estimation_experiment([400], trials=4, alpha=0.05,
-                                           methods=(METHOD_FULL,), seed=8,
-                                           n_oracle=50_000)
+                                           methods=(METHOD_FULL,), seed=8)
         cell = report.cell(400, METHOD_FULL)
         assert len(cell.estimates) + cell.n_not_found == 4
         blank_rows = [row for row in report.rows if row[3] == ""]
@@ -83,14 +84,25 @@ class TestEstimationExperiment:
     def test_oracle_and_wrong_adjustment_summaries(self):
         report = run_estimation_experiment(
             [500], trials=3, alpha=0.05,
-            methods=(METHOD_ORACLE_SEARCH, METHOD_WRONG_ADJUSTMENT), seed=9,
-            n_oracle=50_000)
+            methods=(METHOD_ORACLE_SEARCH, METHOD_WRONG_ADJUSTMENT), seed=9)
         for method in (METHOD_ORACLE_SEARCH, METHOD_WRONG_ADJUSTMENT):
             cell = report.cell(500, method)
             assert cell.n_not_found == 0
             q25, q50, q75 = cell.quantiles()
             assert q25 <= q50 <= q75
             assert cell.median_abs_error(report.ground_truth) >= 0.0
+
+    @pytest.mark.parametrize("methods", [(METHOD_IGNORE_MISSINGNESS,),
+                                         (METHOD_FULL,)])
+    def test_unknown_h_mode_rejected(self, methods):
+        # refused before any trial, also where no trial would solve a
+        # response propensity: the baseline never does, and at n=300 seed
+        # 0 the search finds no set
+        with pytest.raises(ValueError) as raised:
+            run_estimation_experiment([300], 1, 0.05, methods=methods,
+                                      h_mode="a_median")
+        assert str(raised.value) == \
+            "h_mode must be one of a_mean, a_row, got a_median"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
@@ -99,9 +111,30 @@ class TestEstimationExperiment:
     def test_summary_serialization(self):
         report = run_estimation_experiment([500], trials=2, alpha=0.05,
                                            methods=(METHOD_ORACLE_SEARCH,),
-                                           seed=10, n_oracle=50_000)
+                                           seed=10)
         d = report.to_dict()
         assert d["ground_truth"] == report.ground_truth
         assert d["cells"][0]["method"] == METHOD_ORACLE_SEARCH
         lines = report.rows_csv().strip().splitlines()
         assert lines[0] == "sample_size,trial,method,ace"
+
+
+class TestAlpha:
+    """Both experiments refuse a test level outside (0, 1) with the command
+    line's message before any trial or truth is drawn."""
+
+    @pytest.mark.parametrize("run", [run_search_experiment,
+                                     run_estimation_experiment])
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=repr)
+    def test_refused(self, run, alpha):
+        with pytest.raises(ValueError) as raised:
+            run([100], 1, alpha)
+        assert str(raised.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+    def test_numpy_scalar_accepted(self):
+        alpha = np.float32(0.05)
+        search = run_search_experiment([400], 1, alpha, seed=3, oracle=True)
+        assert search.cell(400).tp + search.cell(400).fn == 1
+        est = run_estimation_experiment([400], 1, alpha,
+                                        methods=(METHOD_ORACLE_SEARCH,))
+        assert len(est.cell(400, METHOD_ORACLE_SEARCH).estimates) == 1

@@ -120,6 +120,19 @@ def test_benchmark_bindings_resolve(workloads):
         assert callable(fn)
 
 
+def test_estimation_experiment_reads_the_warmed_truth():
+    # estimate-mc's set-up caches true_ace(default_config(), 1_000_000);
+    # an experiment that read the truth under another key would redraw
+    # the 10^6 rows in every operation
+    from shadowipw.experiments import run_estimation_experiment
+    from shadowipw.simulate import default_config, true_ace
+    true_ace.cache_clear()
+    true_ace(default_config(), 1_000_000)
+    run_estimation_experiment([300], 1, 0.05,
+                              methods=("ignore_missingness",))
+    assert true_ace.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("Z, h_mode", [
     (("W2", "W3", "W4"), "a_mean"), (("W2", "W3", "W4"), "a_row"),
     (("W2", "W3"), "a_mean")])

@@ -437,3 +437,37 @@ class TestSerialization:
         assert set(d) == {"status", "witness", "adjustment_set", "tests_run",
                           "trail"}
         assert len(d["trail"]) == outcome.tests_run
+
+
+# the values each entry point that takes a test level or a subset-size
+# bound refuses, with the message the command line prints
+BAD_ALPHAS = [0, 1, 1.5, float("nan"), "0.05", True]
+BAD_SUBSET_SIZES = [-1, 1.5, float("nan"), "2", True]
+
+
+def no_test(condition, W, Z, alpha):
+    raise AssertionError(f"{condition} ran on refused settings")
+
+
+class TestSearchSettings:
+    @pytest.mark.parametrize("alpha", BAD_ALPHAS, ids=repr)
+    def test_alpha_refused_before_any_test(self, base_ds_small, alpha):
+        with pytest.raises(ValueError) as raised:
+            find_adjustment_set(base_ds_small, alpha, tester=no_test)
+        assert str(raised.value) == f"alpha must lie in (0, 1), got {alpha}"
+
+    @pytest.mark.parametrize("size", BAD_SUBSET_SIZES, ids=repr)
+    def test_subset_size_refused_before_any_test(self, base_ds_small, size):
+        with pytest.raises(ValueError) as raised:
+            find_adjustment_set(base_ds_small, ALPHA, size, tester=no_test)
+        assert str(raised.value) == ("max_subset_size must be an integer "
+                                     f">= 0, got {size}")
+
+    def test_numpy_scalars_accepted(self, base_ds_small):
+        want = find_adjustment_set(base_ds_small, ALPHA, 2)
+        got = find_adjustment_set(base_ds_small, np.float32(ALPHA),
+                                  np.int64(2))
+        assert (got.status, got.witness, got.adjustment_set) == \
+            (want.status, want.witness, want.adjustment_set)
+        assert [r.result.statistic for r in got.trail] == \
+            [r.result.statistic for r in want.trail]

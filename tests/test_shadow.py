@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from shadowipw import glm, shadow
-from shadowipw.data import Dataset, RoleMap
+from shadowipw.data import DataError, Dataset, RoleMap
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               ShadowPropensityModel, ShadowError,
                               moment_residuals, or_blend, or_propensity,
@@ -409,7 +409,7 @@ class TestSolvePropensity:
 
     def test_repeated_adjustment_column_is_rejected(self):
         ds, _ = shadow_dataset([0.6, 0.2], gamma=-0.9, n=500, seed=10)
-        with pytest.raises(ShadowError,
+        with pytest.raises(DataError,
                            match="adjustment column 'Z1' appears more"):
             solve_propensity(ds, ("Z1", "Z2", "Z1"))
 
@@ -477,3 +477,26 @@ class TestSolvePropensity:
         assert d["converged"] is True
         assert d["adjustment"] == ["Z1"]
         assert len(d["beta"]) == 1
+
+
+class TestHMode:
+    """Every entry point that takes an h mode refuses an unknown one with
+    the command line's message."""
+
+    @pytest.mark.parametrize("h_mode", ["a_median", "", None, 1,
+                                        ("a_mean",)], ids=repr)
+    def test_refused(self, h_mode):
+        ds, _ = shadow_dataset([0.6], gamma=-0.9, n=500, seed=10)
+        fitted = model([0.6], gamma=-0.9)
+        message = f"h_mode must be one of a_mean, a_row, got {h_mode}"
+        for call in (lambda: solve_propensity(ds, ("Z1",), h_mode),
+                     lambda: moment_residuals(ds, fitted, h_mode)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    def test_numpy_string_accepted(self):
+        ds, _ = shadow_dataset([0.6], gamma=-0.9, n=500, seed=10)
+        got = solve_propensity(ds, ("Z1",), np.str_(H_MODE_A_ROW))
+        want = solve_propensity(ds, ("Z1",), H_MODE_A_ROW)
+        assert (got.gamma, list(got.beta)) == (want.gamma, list(want.beta))

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import expit
 
 from shadowipw import simulate
-from shadowipw.experiments import run_estimation_experiment
 from shadowipw.search import FOUND, NOT_FOUND, GraphOracleTester, \
     find_adjustment_set
 from shadowipw.simulate import (ORACLE_ARM0, ORACLE_ARM1, ORACLE_COMPLETE,
@@ -168,10 +167,6 @@ class TestTrueAce:
         true_ace(cfg, 1)
         with pytest.raises(ValueError, match="n must be an integer >= 1"):
             true_ace(cfg, n_oracle)
-
-    def test_estimation_experiment_refuses_an_empty_oracle(self):
-        with pytest.raises(ValueError, match="n must be an integer >= 1"):
-            run_estimation_experiment([100], 1, 0.05, n_oracle=0)
 
     def test_doubling_oracle_size_is_stable(self):
         cfg = default_config()
