@@ -22,9 +22,13 @@ roles, then its covariates in ``roles.covariates`` order whatever order Z
 arrives in, then, for C1 and C2, the tested role last; C3's and C4's
 witness is one more covariate. A fit is keyed on ``(respondents_only,
 endpoint, design)``, so C3's full design at (W, Z) is its null design at
-Z + W, and C1's null R ~ 1 is C3's null at Z = (). Each design starts from
-a start that depends on the design alone, so a fit is the same whichever
-test asks for it first:
+Z + W, and C1's null R ~ 1 is C3's null at Z = (). The same dict holds,
+under ``(respondents_only, endpoint)``, the endpoint's folded table: the
+intercept, the roles its conditions give or test and every covariate,
+validated and folded once by ``glm.fold``. Each fit gathers its own
+design's rows of that table and is fitted on its own. Each design starts
+from a start that depends on the design alone, so a fit is the same
+whichever test asks for it first:
 
   (a) no covariates and no tested role (R ~ 1, R ~ A, A ~ Y): zeros;
   (b) with the tested role: its null fit, with the role's coefficient 0;
@@ -48,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, subset_observed
-from .glm import CiTestResult, GlmError, design_matrix, fit_glm, \
+from .glm import CiTestResult, GlmError, fit_glm, fold, \
     likelihood_ratio_test
 
 C1, C2, C3, C4 = "C1", "C2", "C3", "C4"
@@ -103,8 +107,9 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
 
     ``observed`` is ``subset_observed(ds)``, for a caller that runs many
     respondents-only tests on one dataset and slices its respondents once.
-    ``fits`` is a dict of the fits of earlier calls on ``ds``, for a caller
-    that runs many tests on one dataset, such as a search; every design is
+    ``fits`` is a dict of the fits and folded tables of earlier calls on
+    ``ds``, for a caller that runs many tests on one dataset, such as a
+    search; every design is
     fitted from a start that depends on the design alone (see the module
     docstring), so a fit found there is the one this call would compute.
     The record keeps Z in the caller's order.
@@ -146,15 +151,34 @@ def _design_fit(fits: dict, rows: Dataset, cond: Condition, design):
     there under ``(respondents_only, endpoint, design)``."""
     key = (cond.respondents_only, getattr(rows.roles, cond.endpoint), design)
     if key not in fits:
-        fits[key] = _fit(rows, key, _start(fits, rows, cond, design))
+        fits[key] = _fit(fits, rows, key, _start(fits, rows, cond, design))
     return fits[key]
 
 
-def _fit(rows: Dataset, key, start):
-    _, name, design = key
-    y = rows.column(name)
-    return fit_glm(y, design_matrix(y.size, *map(rows.column, design)),
-                   start=start)
+def _fit(fits: dict, rows: Dataset, key, start):
+    # the design's rows of its endpoint's table, which ``fits`` holds under
+    # (respondents_only, endpoint) from the endpoint's first fit on
+    endpoint = key[:2]
+    if endpoint not in fits:
+        fits[endpoint] = _table(rows, *endpoint)
+    names, table = fits[endpoint]
+    columns = [0, *(1 + names.index(c) for c in key[2])]
+    return fit_glm(table.y, table.take(columns), start=start)
+
+
+def _table(rows: Dataset, respondents_only: bool, endpoint: str):
+    """The endpoint's folded table: the intercept, then every role that a
+    condition on ``endpoint`` gives or tests and every covariate, validated
+    and folded once by ``glm.fold``. Returns the column names after the
+    intercept and the table."""
+    roles = rows.roles
+    names = roles.covariates + tuple(
+        getattr(roles, role) for c in CONDITIONS.values()
+        if (c.respondents_only, getattr(roles, c.endpoint)) ==
+        (respondents_only, endpoint) for role in (*c.given, c.added) if role)
+    y = rows.column(endpoint)
+    return names, fold(y, np.vstack([np.ones(y.size),
+                                     *map(rows.column, names)]))
 
 
 def _start(fits: dict, rows: Dataset, cond: Condition, design):
@@ -191,7 +215,7 @@ def _start(fits: dict, rows: Dataset, cond: Condition, design):
         key = (only, name, design[:j])
         if key not in fits:
             try:
-                fits[key] = _fit(rows, key, start)
+                fits[key] = _fit(fits, rows, key, start)
             except ValueError:
                 start = None
                 continue

@@ -215,6 +215,7 @@ def cmd_estimate(data, adjustment, out, **flags):
     """Estimate the average causal effect with a given adjustment set."""
     s = _settings(**flags)
     Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
+    s["roles"].check_adjustment(Z)
     ds = load_csv(data, s["roles"])
     clip = [s["clip_lo"], s["clip_hi"]]
     report = {"command": "estimate", "data": str(data),

@@ -8,9 +8,14 @@ weight mu(1-mu) = e/(1+e)^2; the accepted candidate's e and log-likelihood
 carry into the next iteration, so an iteration whose full step is kept
 evaluates exp once. The design, row i times -s_i, gives -s*eta, the score
 and the gram in one product each; -s*eta is clipped only where that can
-change a bit (``fit_glm``). The Newton step solves gram @ step = score.
-A step is kept when it lowers the log-likelihood by no more than a bound
-scaled to |ll|, the rounding error of a sum over many rows. A fit may be
+change a bit (``fit_glm``). ``fold`` validates a response and its design
+columns and multiplies them by -s once, into a ``FoldedDesign``; a caller
+that fits many designs on one response folds their columns into one table
+and gathers each design's rows from it (``FoldedDesign.take``), so a fit
+makes no validation or fold pass of its own. The Newton step solves
+gram @ step = score. A step is kept when it lowers the log-likelihood by
+no more than a bound scaled to |ll|, the rounding error of a sum over
+many rows. A fit may be
 warm-started; ``citest`` starts each design from a fit of a nested or a
 larger design (its start rules (a)-(d)). The elementwise passes run on
 all rows at once; only the score and weighted gram products are summed
@@ -69,6 +74,21 @@ class GlmFit:
         eta = np.clip(np.asarray(X) @ self.coefficients, -SATURATION,
                       SATURATION)
         return expit(eta)
+
+
+@dataclass(frozen=True)
+class FoldedDesign:
+    """A 0/1 response and design columns, validated and folded once by
+    ``fold``: row j of ``Xs`` is column j times 1-2y (C-contiguous), and
+    ``colmax[j]`` is that column's largest |x|."""
+    y: np.ndarray
+    Xs: np.ndarray
+    colmax: np.ndarray
+
+    def take(self, columns: list[int]) -> FoldedDesign:
+        """The design of the given columns, in that order: their rows of
+        ``Xs``, gathered into one fresh array, and their ``colmax``."""
+        return FoldedDesign(self.y, self.Xs[columns], self.colmax[columns])
 
 
 @dataclass(frozen=True)
@@ -146,16 +166,11 @@ def _summed(product, n):
     return total
 
 
-def _fit_logistic(y, Xt, start):
-    # Xt is the design transposed (p x n, C-contiguous): one row per
-    # coefficient, so every product below runs over contiguous rows. Xs is
-    # Xt with column i times -s_i = 1 - 2y_i, exactly, so beta @ Xs is
-    # -s*eta and -(Xs @ r) the score X'(s*r), bit for bit; |beta| @ colmax
-    # bounds |eta|
-    p = Xt.shape[0]
-    Xs = Xt * (1.0 - 2.0 * y)
-    colmax = np.maximum(Xt.max(axis=1), -Xt.min(axis=1))
-    beta = np.zeros(p) if start is None else start
+def _fit_logistic(y, Xs, colmax, start):
+    # Xs is a FoldedDesign's: one row per coefficient, so every product
+    # below runs over contiguous rows. beta @ Xs is -s*eta and -(Xs @ r)
+    # the score X'(s*r), bit for bit; |beta| @ colmax bounds |eta|
+    beta = np.zeros(Xs.shape[0]) if start is None else start
     e, ll = _evaluate(beta, Xs, colmax)
     rank_deficient = False
     # a constant response has its maximum at infinite coefficients; the
@@ -192,7 +207,9 @@ def _fit_logistic(y, Xt, start):
                 rank_deficient = True
         if rank_deficient:
             # singular gram matrix: the minimum-norm solution of the
-            # weighted least-squares problem for the working response z
+            # weighted least-squares problem for the working response z;
+            # folding by 1-2y again gives back the design exactly
+            Xt = Xs * (1.0 - 2.0 * y)
             eta = np.clip(beta @ Xt, -SATURATION, SATURATION)
             sw = np.sqrt(w)
             z = eta + (2.0 * y - 1.0) * r / w
@@ -221,20 +238,40 @@ def _fit_logistic(y, Xt, start):
                   bool(separated), rank_deficient)
 
 
+def fold(y, Xt) -> FoldedDesign:
+    """The ``FoldedDesign`` of response y and design columns Xt (one per
+    row, C-contiguous). Raises ``GlmError`` unless y and every column are
+    finite and y is 0/1; a NaN or +-inf shows in its column's largest |x|
+    (0 with no rows), so the columns need no pass of their own."""
+    colmax = np.maximum(Xt.max(axis=1, initial=0.0),
+                        -Xt.min(axis=1, initial=0.0))
+    if not (np.isfinite(y).all() and np.isfinite(colmax).all()):
+        raise GlmError("fit_glm requires finite, fully observed y and X")
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise GlmError("logistic regression requires a 0/1 response")
+    return FoldedDesign(y, Xt * (1.0 - 2.0 * y), colmax)
+
+
 def fit_glm(y, X, start=None) -> GlmFit:
     """Logistic fit of a 0/1 response y on the design matrix X (intercept
     column included by caller).
+
+    X is an n x p array, or a ``FoldedDesign`` of y: one that ``fold``
+    returned for y, or a design gathered from one by ``take``. An array is
+    folded (and so validated) on every call; a caller that fits many
+    designs on one response, such as a search, folds their columns once
+    and gathers each design from that table, with the same bits.
 
     The fit takes Newton steps, the solution of ``gram @ step = score``
     with ``gram = X' W X``, until the score max-norm drops below ``TOL``.
     Each candidate evaluates one ``exp(-s*eta)``, s = 2y-1, from which
     come its log-likelihood and, once it is accepted, the next score and
-    weights. Each fit folds the sign into its design once, so -s*eta, the
-    score and the gram are one product each. -s*eta is clipped to
-    [-500, 500] only when ``|beta| @ max|X_j|`` passes 499: below, the clip
-    does not act. The weights are floored at 1e-10 on every pass. Fits
-    equal a kernel's that forms s*eta and s*r and clips on every pass, bit
-    for bit. A step is halved (up to 20 times) while
+    weights. The design's rows are multiplied by -s once, when it is
+    folded, so -s*eta, the score and the gram are one product each. -s*eta
+    is clipped to [-500, 500] only when ``|beta| @ max|X_j|`` passes 499:
+    below, the clip does not act. The weights are floored at 1e-10 on
+    every pass. Fits equal a kernel's that forms s*eta and s*r and clips
+    on every pass, bit for bit. A step is halved (up to 20 times) while
     it lowers the log-likelihood by more than ``1e-12 * max(1, |ll|)``,
     a bound scaled to the rounding error of a sum over many rows; if no
     halving passes, the fit stops where it is. Coefficient L2 norm above
@@ -262,13 +299,19 @@ def fit_glm(y, X, start=None) -> GlmFit:
     flags and capped likelihood of the fit from zeros, whatever ``start``
     or the pilot fit was.
     """
-    y = np.asarray(y, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
-        raise GlmError(f"incompatible shapes y{y.shape} X{X.shape}")
-    if not (np.isfinite(y).all() and np.isfinite(X).all()):
-        raise GlmError("fit_glm requires finite, fully observed y and X")
-    n, p = X.shape
+    if isinstance(X, FoldedDesign):
+        if y is not X.y:
+            raise GlmError("a folded design is fitted on the response it "
+                           "was folded with")
+    else:
+        y = np.asarray(y, dtype=float)
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+            raise GlmError(f"incompatible shapes y{y.shape} X{X.shape}")
+        # the transpose is free when X is column-major, as design_matrix
+        # builds it
+        X = fold(y, np.ascontiguousarray(X.T))
+    p, n = X.Xs.shape
     if n <= p:
         raise GlmError(f"need more observations ({n}) than coefficients ({p})")
     if start is not None:
@@ -276,17 +319,18 @@ def fit_glm(y, X, start=None) -> GlmFit:
         if start.shape != (p,) or not np.isfinite(start).all():
             raise GlmError(f"start must hold {p} finite coefficients, "
                            f"got shape {start.shape}")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise GlmError("logistic regression requires a 0/1 response")
-    # free when X is column-major, as design_matrix builds it
-    Xt = np.ascontiguousarray(X.T)
     if start is None and n > BLOCK_ROWS:
-        pilot = fit_glm(y[::PILOT_STRIDE], X[::PILOT_STRIDE])
+        # the pilot keeps the whole design's colmax, a bound on its rows'
+        # |x|: where that turns the clip on and theirs would not, no |eta|
+        # reaches 500, so the clip changes no bit
+        rows = FoldedDesign(y[::PILOT_STRIDE], np.ascontiguousarray(
+            X.Xs[:, ::PILOT_STRIDE]), X.colmax)
+        pilot = fit_glm(rows.y, rows)
         if pilot.converged and not pilot.rank_deficient:
             start = pilot.coefficients
-    fit = _fit_logistic(y, Xt, start)
+    fit = _fit_logistic(y, X.Xs, X.colmax, start)
     if start is not None and not fit.converged:
-        fit = _fit_logistic(y, Xt, None)
+        fit = _fit_logistic(y, X.Xs, X.colmax, None)
     return fit
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import citest
 from .citest import C1, C2, C3, C4, CONDITIONS, ConditionRecord
 from .data import Dataset, RoleMap
-from .glm import CiTestResult, GlmFit
+from .glm import CiTestResult
 from .graphs import Dag
 
 FOUND = "found"
@@ -69,14 +69,17 @@ class LrtTester:
     replays bit for bit. C2 does not involve the witness, so the search
     asks it about the same adjustment set under several witnesses; each
     time, its record is recomputed from the two memoized fits. Its
-    respondent rows are sliced once, at the first C2 test. The memo lives
-    as long as the tester, one search.
+    respondent rows are sliced once, at the first C2 test. The memo also
+    holds each endpoint's folded table under ``(respondents_only,
+    endpoint)``: R on all rows and A on respondents, each validated and
+    folded once, from which every fit gathers its own design. The memo
+    lives as long as the tester, one search.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
         self._observed: Dataset | None = None
-        self._fits: dict[tuple, GlmFit] = {}
+        self._fits: dict[tuple, object] = {}
 
     def __call__(self, condition, W, Z, alpha):
         if condition == C1:

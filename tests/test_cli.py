@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shadowipw import estimate
+from shadowipw import cli, estimate
 from shadowipw.cli import (_SETTINGS, EXIT_C1_FAILED, EXIT_NOT_FOUND,
                            EXIT_OK, _estimate_report, main)
 from shadowipw.data import RoleMap, load_csv, write_csv
@@ -212,6 +212,26 @@ class TestEstimateCommand:
         assert result.exit_code == 1
         assert "adjustment column 'W2' appears more than once" in \
             result.output
+
+    @pytest.mark.parametrize("adjustment, message", [
+        ("W2,W9", "adjustment column 'W9' is not a covariate"),
+        ("W2,W2", "adjustment column 'W2' appears more than once")])
+    def test_adjustment_refused_before_the_file_is_read(
+            self, tmp_path, runner, monkeypatch, adjustment, message):
+        # the roles alone refuse the set, so the file is never parsed, and
+        # a file that would be refused too gets the adjustment's message
+        loads = []
+        monkeypatch.setattr(cli, "load_csv", lambda *args: loads.append(args))
+        csv = tmp_path / "t.csv"
+        csv.write_text("x\n1\n")
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["estimate", str(csv), *ROLE_FLAGS,
+                                      "--adjustment", adjustment,
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"Error: {message}" in result.output
+        assert loads == []
+        assert not out.exists()
 
 
 class TestReportWarnings:

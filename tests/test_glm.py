@@ -318,7 +318,7 @@ class TestBlockedFit:
         assert y.size <= glm.BLOCK_ROWS
         whole = fit_glm(y, X, start=start)
         monkeypatch.setattr(glm, "BLOCK_ROWS", 1000)
-        blocked = glm._fit_logistic(y, np.ascontiguousarray(X.T), start)
+        blocked = kernel_fit(y, X, start)
         flags = {"regular": (True, False, False),
                  "separated_x1000": (False, False, False),
                  "duplicated": (True, False, True),
@@ -458,6 +458,16 @@ def _reference_logistic(y, Xt, start):
             bool(separated), rank_deficient)
 
 
+def reference_pilot_fit(y, X):
+    """fit_glm's fit of X from no start, over more than glm.BLOCK_ROWS rows
+    but a pilot of at most that many, from reference_fit: the pilot fit of
+    every PILOT_STRIDE-th row, then X from the pilot's coefficients when
+    it converged and is not rank deficient, else from zeros."""
+    pilot = reference_fit(y[::glm.PILOT_STRIDE], X[::glm.PILOT_STRIDE])
+    start = np.frombuffer(pilot[0]) if pilot[2] and not pilot[5] else None
+    return reference_fit(y, X, start)
+
+
 def fit_bytes(fit):
     return (fit.coefficients.tobytes(), fit.log_likelihood.hex(),
             fit.converged, fit.iterations, fit.separated,
@@ -552,14 +562,89 @@ class TestSignFoldedKernel:
             assert got_ll.hex() == (-float(np.sum(np.log1p(e)))).hex()
 
 
+class TestFoldedTable:
+    """A design gathered from a folded table (glm.fold, FoldedDesign.take),
+    as a search fits each of its designs, is fitted as fit_glm fits the
+    same design built as an array and as reference_fit's kernel does, its
+    pilot fit included, byte for byte; a table is refused as fit_glm
+    refuses its columns and response."""
+
+    @pytest.mark.parametrize("block_rows", [glm.BLOCK_ROWS, 1000])
+    @given(st.integers(min_value=2, max_value=7),
+           st.integers(min_value=40, max_value=400),
+           st.sampled_from(["regular", "separated", "separated_x1000",
+                            "constant", "duplicated"]),
+           st.sampled_from([None, "nested", "random"]),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_gathered_design_matches_array_fit(self, block_rows, k, n, case,
+                                               start, data):
+        # with BLOCK_ROWS at 1000 every fit runs 2 or 3 blocks, and a fit
+        # with no start fits its pilot first
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if block_rows < glm.BLOCK_ROWS:
+            n += 1000
+        y, X = guard_case(case, n, k, 1.0, rng)
+        columns = data.draw(st.lists(st.integers(1, k - 1), unique=True,
+                                     max_size=k - 1))
+        p = 1 + len(columns)
+        with mock.patch.object(glm, "BLOCK_ROWS", block_rows):
+            table = glm.fold(y, np.ascontiguousarray(X.T))
+            design = design_matrix(n, *X[:, columns].T)
+            if start == "nested" and columns:
+                start = np.append(fit_glm(y, design[:, :-1]).coefficients,
+                                  0.0)
+            elif start is not None:
+                start = rng.uniform(-2.0, 2.0, size=p)
+            fit = fit_glm(y, table.take([0, *columns]), start=start)
+            assert fit_bytes(fit) == fit_bytes(fit_glm(y, design, start))
+            assert fit_bytes(fit) == (
+                reference_pilot_fit(y, design) if start is None and
+                n > block_rows else reference_fit(y, design, start))
+            assert fit.n_obs == n
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_refused(self, value):
+        y, X = guard_case("regular", 50, 3, 1.0, np.random.default_rng(1))
+        for where in ("y", "X"):
+            yy, XX = y.copy(), X.copy()
+            if where == "y":
+                yy[7] = value
+            else:
+                XX[7, 2] = value
+            with pytest.raises(GlmError, match="finite"):
+                glm.fold(yy, np.ascontiguousarray(XX.T))
+            with pytest.raises(GlmError, match="finite"):
+                fit_glm(yy, XX)
+
+    def test_response_that_is_not_0_1_refused(self):
+        y, X = guard_case("regular", 50, 3, 1.0, np.random.default_rng(1))
+        y[3] = 0.5
+        with pytest.raises(GlmError, match="0/1 response"):
+            glm.fold(y, np.ascontiguousarray(X.T))
+        with pytest.raises(GlmError, match="0/1 response"):
+            fit_glm(y, X)
+
+    def test_design_is_fitted_on_its_own_response(self):
+        y, X = guard_case("regular", 50, 3, 1.0, np.random.default_rng(1))
+        design = glm.fold(y, np.ascontiguousarray(X.T)).take([0, 2])
+        with pytest.raises(GlmError, match="folded with"):
+            fit_glm(y.copy(), design)
+        few = y[:3]
+        with pytest.raises(GlmError, match="coefficients"):
+            fit_glm(few, glm.fold(few, np.ascontiguousarray(X[:3].T)))
+        with pytest.raises(GlmError, match="coefficients"):
+            fit_glm(np.empty(0), np.empty((0, 2)))
+
+
 def kernel_calls(monkeypatch):
     """Spy on glm._fit_logistic: a list that gets (rows, start given, fit)
     for each call."""
     calls = []
     original = glm._fit_logistic
 
-    def spy(y, Xt, start):
-        fit = original(y, Xt, start)
+    def spy(y, Xs, colmax, start):
+        fit = original(y, Xs, colmax, start)
         calls.append((y.size, start is not None, fit))
         return fit
 
@@ -567,9 +652,16 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def kernel_fit(y, X, start=None):
+    """The kernel's fit of X from start, with no pilot fit and no repeat
+    from zeros."""
+    folded = glm.fold(y, np.ascontiguousarray(X.T))
+    return glm._fit_logistic(y, folded.Xs, folded.colmax, start)
+
+
 def zero_start_fit(y, X):
     """The kernel's fit from zeros: fit_glm's fit when it has no pilot."""
-    return glm._fit_logistic(y, np.ascontiguousarray(X.T), None)
+    return kernel_fit(y, X)
 
 
 class TestPilotFit:

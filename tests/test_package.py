@@ -147,3 +147,16 @@ def test_benchmark_estimate_check_passes(workloads, Z, h_mode):
         ds.column, ds.roles, Z, workloads._model_dict(model), h_mode,
         treat.coefficients, estimate.DEFAULT_CLIP, est.ace)
     assert problems == []
+
+
+@pytest.mark.parametrize("scenario", ["base", "add_a_to_ry", "hide_w4"])
+def test_benchmark_search_check_passes(workloads, scenario):
+    # search-mc counts an operation as failed when this check reports a
+    # problem, so a search change that breaks it fails here first
+    from shadowipw.search import find_adjustment_set
+    from shadowipw.simulate import default_config, generate
+    ds = generate(default_config(n=10_000, seed=3, scenario=scenario))
+    outcome = find_adjustment_set(ds, 0.05)
+    problems = workloads.check_search(ds.column, ds.roles, outcome.to_dict(),
+                                      0.05)
+    assert problems == []

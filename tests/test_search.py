@@ -86,9 +86,14 @@ class TestLrtSearch:
         tester = LrtTester(exhaustive)
         outcome = find_adjustment_set(exhaustive, ALPHA, tester=tester)
         monkeypatch.undo()
-        # each design is fitted once (50 fits before the design memo)
+        # each design is fitted once (50 fits before the design memo). The
+        # memo also holds the two endpoints' folded tables, R on all rows
+        # and A on respondents, under (respondents_only, endpoint)
         assert outcome.status == NOT_FOUND
-        assert len(fits) == len(tester._fits) == 31
+        designs = [key for key in tester._fits if len(key) == 3]
+        assert len(fits) == len(designs) == 31
+        assert sorted(set(tester._fits) - set(designs)) == [(False, "R"),
+                                                           (True, "A")]
         assert_replays(exhaustive, outcome)
 
     def test_conditions_share_designs(self, base_ds_small, monkeypatch):
