@@ -87,16 +87,12 @@ def _search_outcome(args):
 
 
 def _first_rejection(pvalues, alpha):
-    """First of C2, C3, C4 that rejects the correct candidate at alpha,
-    with the pass rules of ``citest``: C2 and C4 pass when p >= alpha, C3
-    passes when p < alpha."""
-    p2, p3, p4 = pvalues
-    if p2 < alpha:
-        return "C2"
-    if p3 >= alpha:
-        return "C3"
-    if p4 < alpha:
-        return "C4"
+    """First of C2, C3, C4 that rejects the correct candidate at alpha, by
+    each condition's rule in ``citest.CONDITIONS``: a condition that
+    requires dependence passes when p < alpha, the others when p >= alpha."""
+    for condition, p in zip((citest.C2, citest.C3, citest.C4), pvalues):
+        if (p < alpha) != citest.CONDITIONS[condition].requires_dependence:
+            return condition
     return None
 
 

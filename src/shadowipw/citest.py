@@ -23,12 +23,13 @@ arrives in, then, for C1 and C2, the tested role last; C3's and C4's
 witness is one more covariate. A fit is keyed on ``(respondents_only,
 endpoint, design)``, so C3's full design at (W, Z) is its null design at
 Z + W, and C1's null R ~ 1 is C3's null at Z = (). The same dict holds,
-under ``(respondents_only, endpoint)``, the endpoint's folded table: the
-intercept, the roles its conditions give or test and every covariate,
-validated and folded once by ``glm.fold``. Each fit gathers its own
-design's rows of that table and is fitted on its own. Each design starts
-from a start that depends on the design alone, so a fit is the same
-whichever test asks for it first:
+under ``(respondents_only, endpoint)``, the endpoint's rows as its folded
+table (R on all rows, A on the respondents, sliced once): the intercept,
+the roles its conditions give or test and every covariate, validated and
+folded once by ``glm.fold``. ``_table`` alone stores a table and
+``_design_fit`` alone fits a design and stores the fit, on the design's
+rows of its table. Each design starts from a start that depends on the
+design alone, so a fit is the same whichever test asks for it first:
 
   (a) no covariates and no tested role (R ~ 1, R ~ A, A ~ Y): zeros;
   (b) with the tested role: its null fit, with the role's coefficient 0;
@@ -38,8 +39,8 @@ whichever test asks for it first:
       separated fit does not) or is rank deficient. The reference is the
       full design of the search's first witness at its last candidate;
   (d) C2, with covariates: the fit of the design without its last
-      covariate, that covariate's coefficient 0; zeros if that fit did not
-      converge. A search tests every shorter prefix before it.
+      covariate, that covariate's coefficient 0; zeros if that fit raises
+      or did not converge. A search tests every shorter prefix before it.
 
 Rule (c) is not used for C2 because C2's reference always holds the
 witness the search excludes, so it would be a fit no test needs.
@@ -100,19 +101,16 @@ class ConditionRecord:
 
 
 def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
-                  observed: Dataset | None = None,
                   fits: dict | None = None) -> ConditionRecord:
     """Test one row of ``CONDITIONS`` for witness W (None for a row that
     tests a role) and adjustment set Z.
 
-    ``observed`` is ``subset_observed(ds)``, for a caller that runs many
-    respondents-only tests on one dataset and slices its respondents once.
-    ``fits`` is a dict of the fits and folded tables of earlier calls on
+    ``fits`` is a dict of the folded tables and fits of earlier calls on
     ``ds``, for a caller that runs many tests on one dataset, such as a
-    search; every design is
-    fitted from a start that depends on the design alone (see the module
-    docstring), so a fit found there is the one this call would compute.
-    The record keeps Z in the caller's order.
+    search: a respondents-only row's table slices the respondents once per
+    dict. Every design is fitted from a start that depends on the design
+    alone (see the module docstring), so a fit found there is the one this
+    call would compute. The record keeps Z in the caller's order.
     """
     cond = CONDITIONS[condition]
     roles = ds.roles
@@ -121,16 +119,14 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
         raise GlmError(f"condition {condition} takes "
                        f"{'no' if cond.added else 'a'} witness, got {W!r}")
     roles.check_adjustment(Z, W)
-    rows = ds
-    if cond.respondents_only:
-        rows = subset_observed(ds) if observed is None else observed
-        if rows.n_rows == 0:
-            raise DegenerateDataError("no rows with response == 1")
+    fits = {} if fits is None else fits
+    y = _table(fits, ds, cond)[1].y
     name = getattr(roles, cond.endpoint)
-    endpoint = rows.column(name)
-    if endpoint.size == 0:
+    if cond.respondents_only and y.size == 0:
+        raise DegenerateDataError("no rows with response == 1")
+    if y.size == 0:
         raise DegenerateDataError(f"no rows available for endpoint {name!r}")
-    if endpoint.min() == endpoint.max():
+    if y.min() == y.max():
         raise DegenerateDataError(f"endpoint column {name!r} is constant")
     given = tuple(getattr(roles, g) for g in cond.given)
     null = given + tuple(c for c in roles.covariates if c in Z)
@@ -138,57 +134,56 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
         full = given + tuple(c for c in roles.covariates if c in Z or c == W)
     else:
         full = null + (getattr(roles, cond.added),)
-    fits = {} if fits is None else fits
-    null_fit = _design_fit(fits, rows, cond, null)
-    full_fit = _design_fit(fits, rows, cond, full)
+    null_fit = _design_fit(fits, ds, cond, null)
+    full_fit = _design_fit(fits, ds, cond, full)
     return ConditionRecord(condition, W, Z,
                            likelihood_ratio_test(null_fit, full_fit, alpha))
 
 
-def _design_fit(fits: dict, rows: Dataset, cond: Condition, design):
-    """The fit of ``cond``'s endpoint on ``design`` (column names after the
-    intercept): from ``fits``, or fitted from the design's start and stored
-    there under ``(respondents_only, endpoint, design)``."""
-    key = (cond.respondents_only, getattr(rows.roles, cond.endpoint), design)
+def _table(fits: dict, ds: Dataset, cond: Condition):
+    """The folded table of ``cond``'s endpoint, from ``fits`` or built and
+    stored there under ``(respondents_only, endpoint)``: on the endpoint's
+    rows (the respondents for a respondents-only row), the intercept, every
+    covariate and every role that a condition on the endpoint gives or
+    tests, validated and folded once by ``glm.fold``. Returns the column
+    names after the intercept and the table."""
+    roles = ds.roles
+    key = (cond.respondents_only, getattr(roles, cond.endpoint))
     if key not in fits:
-        fits[key] = _fit(fits, rows, key, _start(fits, rows, cond, design))
+        rows = subset_observed(ds) if cond.respondents_only else ds
+        names = roles.covariates + tuple(
+            getattr(roles, role) for c in CONDITIONS.values()
+            if (c.respondents_only, c.endpoint) ==
+            (cond.respondents_only, cond.endpoint)
+            for role in (*c.given, c.added) if role)
+        y = rows.column(key[1])
+        fits[key] = names, fold(y, np.vstack([np.ones(y.size),
+                                              *map(rows.column, names)]))
     return fits[key]
 
 
-def _fit(fits: dict, rows: Dataset, key, start):
-    # the design's rows of its endpoint's table, which ``fits`` holds under
-    # (respondents_only, endpoint) from the endpoint's first fit on
-    endpoint = key[:2]
-    if endpoint not in fits:
-        fits[endpoint] = _table(rows, *endpoint)
-    names, table = fits[endpoint]
-    columns = [0, *(1 + names.index(c) for c in key[2])]
-    return fit_glm(table.y, table.take(columns), start=start)
+def _design_fit(fits: dict, ds: Dataset, cond: Condition, design):
+    """The fit of ``cond``'s endpoint on ``design`` (column names after the
+    intercept): from ``fits``, or fitted from the design's start on the
+    design's rows of the endpoint's table and stored there under
+    ``(respondents_only, endpoint, design)``."""
+    key = (cond.respondents_only, getattr(ds.roles, cond.endpoint), design)
+    if key not in fits:
+        start = _start(fits, ds, cond, design)
+        names, table = _table(fits, ds, cond)
+        columns = [0, *(1 + names.index(c) for c in design)]
+        fits[key] = fit_glm(table.y, table.take(columns), start=start)
+    return fits[key]
 
 
-def _table(rows: Dataset, respondents_only: bool, endpoint: str):
-    """The endpoint's folded table: the intercept, then every role that a
-    condition on ``endpoint`` gives or tests and every covariate, validated
-    and folded once by ``glm.fold``. Returns the column names after the
-    intercept and the table."""
-    roles = rows.roles
-    names = roles.covariates + tuple(
-        getattr(roles, role) for c in CONDITIONS.values()
-        if (c.respondents_only, getattr(roles, c.endpoint)) ==
-        (respondents_only, endpoint) for role in (*c.given, c.added) if role)
-    y = rows.column(endpoint)
-    return names, fold(y, np.vstack([np.ones(y.size),
-                                     *map(rows.column, names)]))
-
-
-def _start(fits: dict, rows: Dataset, cond: Condition, design):
+def _start(fits: dict, ds: Dataset, cond: Condition, design):
     # the start rules (a)-(d) of the module docstring; None means zeros
-    roles = rows.roles
+    roles = ds.roles
     given = len(cond.given)
     tested = cond.added and getattr(roles, cond.added)
     if design[-1:] == (tested,):
         # (b): the tested role joins its null fit at 0
-        null_fit = _design_fit(fits, rows, cond, design[:-1])
+        null_fit = _design_fit(fits, ds, cond, design[:-1])
         return np.append(null_fit.coefficients, 0.0)
     if len(design) == given:
         return None                                               # (a)
@@ -198,7 +193,7 @@ def _start(fits: dict, rows: Dataset, cond: Condition, design):
         if design == reference:
             return None
         try:
-            ref = _design_fit(fits, rows, cond, reference)
+            ref = _design_fit(fits, ds, cond, reference)
         except ValueError:
             return None
         if not ref.converged or ref.rank_deficient:
@@ -206,20 +201,17 @@ def _start(fits: dict, rows: Dataset, cond: Condition, design):
         keep = [*range(1 + given), *(1 + given + roles.covariates.index(c)
                                      for c in design[given:])]
         return ref.coefficients[keep]
-    # (d): the design without its last covariate, at 0. Each shorter
-    # prefix starts from the one before it, as its own rule (d) or (a)
-    # says; a loop, with no depth limit, fits those a search has not tested
-    only, name = cond.respondents_only, getattr(roles, cond.endpoint)
+    # (d): the design without its last covariate, at 0. The prefixes are
+    # fitted shortest first, so each one's own rule (d) finds its shorter
+    # prefixes stored and no call recurses more than one level; a prefix
+    # that raises is tried again at each level and gives zeros each time
     start = None
     for j in range(given, len(design)):
-        key = (only, name, design[:j])
-        if key not in fits:
-            try:
-                fits[key] = _fit(fits, rows, key, start)
-            except ValueError:
-                start = None
-                continue
-        prefix = fits[key]
+        try:
+            prefix = _design_fit(fits, ds, cond, design[:j])
+        except ValueError:
+            start = None
+            continue
         start = (np.append(prefix.coefficients, 0.0) if prefix.converged
                  else None)
     return start
@@ -231,11 +223,11 @@ def test_c1(ds: Dataset, alpha: float,
     return run_condition(C1, ds, None, (), alpha, fits=fits)
 
 
-def test_c2(ds: Dataset, Z, alpha: float, observed: Dataset | None = None,
+def test_c2(ds: Dataset, Z, alpha: float,
             fits: dict | None = None) -> ConditionRecord:
     """Treatment must be independent of the incentive given the outcome and
     Z among respondents."""
-    return run_condition(C2, ds, None, Z, alpha, observed, fits)
+    return run_condition(C2, ds, None, Z, alpha, fits)
 
 
 def test_c3(ds: Dataset, W: str, Z, alpha: float,

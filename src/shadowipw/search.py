@@ -68,17 +68,16 @@ class LrtTester:
     hit is the fit an uncached ``citest`` call would compute, and the trail
     replays bit for bit. C2 does not involve the witness, so the search
     asks it about the same adjustment set under several witnesses; each
-    time, its record is recomputed from the two memoized fits. Its
-    respondent rows are sliced once, at the first C2 test. The memo also
-    holds each endpoint's folded table under ``(respondents_only,
-    endpoint)``: R on all rows and A on respondents, each validated and
-    folded once, from which every fit gathers its own design. The memo
+    time, its record is recomputed from the two memoized fits. The memo
+    also holds each endpoint's rows as its folded table, under
+    ``(respondents_only, endpoint)``: R on all rows, and A on the
+    respondents, sliced once at the first C2 test. Every fit gathers its
+    design from that table. The memo is the tester's only state and
     lives as long as the tester, one search.
     """
 
     def __init__(self, ds: Dataset):
         self.ds = ds
-        self._observed: Dataset | None = None
         self._fits: dict[tuple, object] = {}
 
     def __call__(self, condition, W, Z, alpha):
@@ -91,9 +90,7 @@ class LrtTester:
         return citest.test_c4(self.ds, W, Z, alpha, self._fits)
 
     def c2(self, Z, alpha):
-        if self._observed is None:
-            self._observed = citest.subset_observed(self.ds)
-        return citest.test_c2(self.ds, Z, alpha, self._observed, self._fits)
+        return citest.test_c2(self.ds, Z, alpha, self._fits)
 
 
 class GraphOracleTester:

@@ -175,47 +175,3 @@ def scenario_graph(scenario: str = SCENARIO_BASE) -> Dag:
         # hide_w4 drops W4 from the data only; the graph keeps it
         raise ValueError(f"unknown scenario {scenario!r}")
     return Dag(tuple(edges))
-
-
-# ---------------------------------------------------------------------------
-# A small three-covariate example system with two latent confounders, used
-# in tests: the search should land on witness W3 with adjustment {W1, W2}.
-
-EXAMPLE_COEFS = {
-    "w1_u": 1.2, "w2_u": 1.5, "a_u2": 2.0, "a_w3": 1.5,
-    "y_a": 2.0, "y_w2": 2.0, "r_w1": 1.2, "r_i": 0.7, "r_y": 1.5,
-}
-
-
-def example_graph() -> Dag:
-    edges = (("U1", "W1"), ("U1", "W2"), ("U2", "W1"), ("U2", "A"),
-             ("W3", "A"), ("A", "Y"), ("W2", "Y"), ("Y", "R"),
-             ("W1", "R"), ("I", "R"))
-    return Dag(edges)
-
-
-def example_roles() -> RoleMap:
-    return RoleMap(treatment="A", outcome="Y", response="R", incentive="I",
-                   covariates=("W1", "W2", "W3"))
-
-
-def generate_example(n: int, seed: int) -> Dataset:
-    """Sample the example system; coefficients are strong enough that the
-    canonical search narrative holds with high probability at n of 20000."""
-    c = EXAMPLE_COEFS
-    u1 = _rng(seed, 11).standard_normal(n)
-    u2 = _rng(seed, 12).standard_normal(n)
-    e = _rng(seed, 13).standard_normal((n, 3))
-    w1 = c["w1_u"] * (u1 + u2) + 0.5 * e[:, 0]
-    w2 = c["w2_u"] * u1 + 0.5 * e[:, 1]
-    w3 = e[:, 2]
-    incentive = _rng(seed, _STREAM_I).normal(0.0, np.sqrt(2.0), n)
-    a = (_rng(seed, _STREAM_A).uniform(size=n) <
-         expit(c["a_u2"] * u2 + c["a_w3"] * w3)).astype(float)
-    y = (_rng(seed, _STREAM_Y).uniform(size=n) <
-         expit(c["y_a"] * a + c["y_w2"] * w2 - 0.5)).astype(float)
-    r = (_rng(seed, _STREAM_R).uniform(size=n) <
-         expit(c["r_w1"] * w1 + c["r_i"] * incentive + c["r_y"] * y)).astype(float)
-    columns = {"W1": w1, "W2": w2, "W3": w3, "I": incentive, "A": a,
-               "Y": np.where(r == 1.0, y, np.nan), "R": r}
-    return Dataset(columns, example_roles())

@@ -6,7 +6,10 @@ from scipy.stats import binom
 from shadowipw import citest
 from shadowipw.citest import DegenerateDataError
 from shadowipw.data import Dataset, RoleMap, subset_observed
-from shadowipw.simulate import default_config, generate, generate_example
+from shadowipw.search import LrtTester
+from shadowipw.simulate import default_config, generate
+
+from oracles import generate_example
 
 ALPHA = 0.05
 Z_FULL = ("W2", "W3", "W4")
@@ -56,6 +59,25 @@ class TestC1:
             "R": np.ones(n), "Y": np.nan_to_num(base_ds_10k.column("Y"))})
         with pytest.raises(DegenerateDataError):
             citest.test_c1(ds, ALPHA)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda ds: ds.take(np.arange(0)),
+         "no rows available for endpoint 'R'"),
+        (lambda ds: _replace_columns(ds, {
+            "R": np.ones(ds.n_rows), "Y": np.nan_to_num(ds.column("Y"))}),
+         "endpoint column 'R' is constant"),
+    ], ids=["no_rows", "constant"])
+    def test_degenerate_response_is_named(self, base_ds_small, build,
+                                          message):
+        ds = build(base_ds_small)
+        with pytest.raises(DegenerateDataError, match=f"^{message}$"):
+            citest.test_c1(ds, ALPHA)
+        # a search's tester checks the endpoint on every call, so on the
+        # second call, which finds the endpoint's table in its memo, too
+        tester = LrtTester(ds)
+        for _ in range(2):
+            with pytest.raises(DegenerateDataError, match=f"^{message}$"):
+                tester("C1", None, (), ALPHA)
 
 
 class TestC2:

@@ -7,8 +7,9 @@ from shadowipw.data import Dataset, RoleMap
 from shadowipw.glm import CiTestResult
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
                               LrtTester, SearchOutcome, find_adjustment_set)
-from shadowipw.simulate import (default_config, example_graph,
-                                generate, generate_example, scenario_graph)
+from shadowipw.simulate import default_config, generate, scenario_graph
+
+from oracles import example_graph, generate_example
 
 ALPHA = 0.05
 
