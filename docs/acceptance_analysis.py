@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
-from shadowipw import citest, estimate, shadow
+from shadowipw import citest, estimate
 from shadowipw.experiments import (CORRECT_SET, _run_jobs,
                                    run_search_experiment)
 from shadowipw.search import FOUND, find_adjustment_set
@@ -66,8 +65,8 @@ DGP_VARIANTS = (("shipped", {}), ("prob_clip (0, 1)", NO_CLIP),
 
 
 def _dataset(n, seed, scenario, **overrides):
-    return generate(replace(default_config(), n=n, seed=seed,
-                            scenario=scenario, **overrides))
+    return generate(default_config(n=n, seed=seed, scenario=scenario,
+                                   **overrides))
 
 
 def _correct_candidate_pvalues(args):
@@ -172,10 +171,7 @@ def _two_estimates(args):
     n, seed = args
     ds = _dataset(n, seed, SCENARIO_BASE)
     ignore = estimate.baseline_ignore_missingness(ds, CORRECT_SET).ace
-    model = shadow.solve_propensity(ds, CORRECT_SET)
-    treat = estimate.fit_treatment_propensity(ds, CORRECT_SET)
-    full = estimate.ipw_ace(ds, CORRECT_SET, model, treat).ace
-    return ignore, full
+    return ignore, estimate.fit_and_weight(ds, CORRECT_SET)[2].ace
 
 
 def cmd_estimate_spread():

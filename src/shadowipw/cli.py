@@ -9,16 +9,19 @@ error (the message names it), 3 the incentive/response gate failed, 4 no
 adjustment set found (2 is reserved by the argument parser for usage
 errors).
 
-Role columns are taken from a JSON config file (``--config``) and/or
-individual flags; flags override file values, and a file key that no
-command reads is an error. The default seed can be set through the
-SHADOWIPW_SEED environment variable.
+Roles and settings come from a JSON config file (``--config``) and from
+flags made from the settings table; flags override file values, and a
+file key that no command reads is an error. An empty experiment cell's
+statistics are null. SHADOWIPW_SEED sets the default seed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import click
@@ -45,14 +48,27 @@ def _emit(report: dict, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-# the roles and every setting some command reads, with their defaults; a
-# config file holds no other key, so a misspelt or stale one is an error
-# rather than ignored
-_SETTINGS = {"treatment": None, "outcome": None, "response": None,
-             "incentive": None, "covariates": None, "alpha": 0.05,
-             "max_subset_size": None, "h_mode": shadow.H_MODE_A_MEAN,
-             "clip_lo": estimate.DEFAULT_CLIP[0],
-             "clip_hi": estimate.DEFAULT_CLIP[1]}
+# a role or setting: its default, and its flag's click type and help
+_Setting = namedtuple("_Setting", "default type help", defaults=(str, None))
+
+# the roles and every setting some command reads; each one's flag is made
+# from its entry, and a config file holds no other key, so a misspelt or
+# stale one is an error rather than ignored
+_ROLES = ("treatment", "outcome", "response", "incentive", "covariates")
+_SETTINGS = {
+    **dict.fromkeys(_ROLES[:-1], _Setting(None)),
+    "covariates": _Setting(
+        None, help="Comma-separated covariate column names."),
+    "alpha": _Setting(0.05, float, "Test level."),
+    "max_subset_size": _Setting(None, int),
+    "h_mode": _Setting(shadow.H_MODE_A_MEAN, click.Choice(shadow.H_MODES)),
+    "clip_lo": _Setting(estimate.DEFAULT_CLIP[0], float),
+    "clip_hi": _Setting(estimate.DEFAULT_CLIP[1], float)}
+
+
+def _split(text: str) -> tuple:
+    """The entries of a comma-separated list, stripped, empty ones dropped."""
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -72,29 +88,28 @@ def _load_config_file(path: str | None) -> dict:
     return config
 
 
-def _settings(config_path, **flags) -> dict:
-    """A command's settings: each the flag if given, else the config-file
-    value, else the default; the roles as a RoleMap under ``roles``. The
-    library's rules are applied before the data are read."""
+def _settings(config_path, **flags) -> tuple[RoleMap, dict]:
+    """A command's roles and settings: each the flag if given, else the
+    config-file value, else the default, the clip bounds as one ``clip``.
+    The library's rules are applied before the data are read."""
     config = _load_config_file(config_path)
-    s = {key: config.get(key, _SETTINGS[key]) if value is None else value
-         for key, value in flags.items()}
+    s = {key: config.get(key, _SETTINGS[key].default) if value is None
+         else value for key, value in flags.items()}
     if isinstance(s["covariates"], str):
-        s["covariates"] = [c.strip() for c in s["covariates"].split(",")
-                           if c.strip()]
-    roles = {key: s.pop(key) for key in ("treatment", "outcome", "response",
-                                         "incentive", "covariates")}
+        s["covariates"] = _split(s["covariates"])
+    roles = {key: s.pop(key) for key in _ROLES}
     missing = [key for key, value in roles.items() if value is None]
     if missing:
         raise click.ClickException(
             "missing role configuration: " + ", ".join(sorted(missing)))
-    s["roles"] = RoleMap.from_dict(roles)
+    roles = RoleMap.from_dict(roles)
     if "alpha" in s:
         check_search_settings(s["alpha"], s["max_subset_size"])
     if "h_mode" in s:
         shadow.check_h_mode(s["h_mode"])
         estimate.check_clip_bounds(s["clip_lo"], s["clip_hi"])
-    return s
+        s["clip"] = [s.pop("clip_lo"), s.pop("clip_hi")]
+    return roles, s
 
 
 def _estimate_report(model, treat, est) -> dict:
@@ -122,22 +137,25 @@ def _estimate_report(model, treat, est) -> dict:
             "estimate": est.to_dict(), "warnings": warnings}
 
 
-_ROLE_OPTIONS = [
-    click.option("--config", "config_path", type=click.Path(exists=True),
-                 default=None, help="JSON config file with roles/settings."),
-    click.option("--treatment", default=None),
-    click.option("--outcome", default=None),
-    click.option("--response", default=None),
-    click.option("--incentive", default=None),
-    click.option("--covariates", default=None,
-                 help="Comma-separated covariate column names."),
-]
+def _options(*options):
+    """A decorator that applies ``options``, listed in ``--help`` order."""
+    return lambda fn: functools.reduce(lambda f, o: o(f), options[::-1], fn)
 
 
-def _with_role_options(fn):
-    for option in reversed(_ROLE_OPTIONS):
-        fn = option(fn)
-    return fn
+def _option(key: str, **kwargs):
+    """The flag of setting ``key``, with the type and help of its entry."""
+    return click.option("--" + key.replace("_", "-"), key,
+                        type=_SETTINGS[key].type, help=_SETTINGS[key].help,
+                        **kwargs)
+
+
+def _setting_options(*keys):
+    """``--config`` and the flags of the roles and of settings ``keys``,
+    each None unless given, so that ``_settings`` can tell."""
+    return _options(
+        click.option("--config", "config_path", type=click.Path(exists=True),
+                     help="JSON config file with roles/settings."),
+        *(_option(key, default=None) for key in (*_ROLES, *keys)))
 
 
 seed_option = click.option("--seed", type=int, default=0,
@@ -186,71 +204,56 @@ def cmd_simulate(n, seed, scenario, out):
 
 @main.command("search")
 @click.argument("data", type=click.Path(exists=True))
-@_with_role_options
-@click.option("--alpha", type=float, default=None, help="Test level.")
-@click.option("--max-subset-size", type=int, default=None)
+@_setting_options("alpha", "max_subset_size")
 @click.option("--out", default=None, help="Report path (default stdout).")
 def cmd_search(data, out, **flags):
     """Search for a witness and adjustment set on a CSV dataset."""
-    s = _settings(**flags)
-    ds = load_csv(data, s["roles"])
+    roles, s = _settings(**flags)
+    ds = load_csv(data, roles)
     outcome_ = find_adjustment_set(ds, s["alpha"], s["max_subset_size"])
-    report = {"command": "search", "data": str(data), "alpha": s["alpha"],
-              "max_subset_size": s["max_subset_size"],
-              "roles": s["roles"].to_dict(), "outcome": outcome_.to_dict()}
+    report = {"command": "search", "data": str(data), **s,
+              "roles": roles.to_dict(), "outcome": outcome_.to_dict()}
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 
 
 @main.command("estimate")
 @click.argument("data", type=click.Path(exists=True))
-@_with_role_options
+@_setting_options("h_mode", "clip_lo", "clip_hi")
 @click.option("--adjustment", required=True,
               help="Comma-separated adjustment-set columns.")
-@click.option("--h-mode", type=click.Choice(shadow.H_MODES), default=None)
-@click.option("--clip-lo", type=float, default=None)
-@click.option("--clip-hi", type=float, default=None)
 @click.option("--out", default=None)
 def cmd_estimate(data, adjustment, out, **flags):
     """Estimate the average causal effect with a given adjustment set."""
-    s = _settings(**flags)
-    Z = tuple(c.strip() for c in adjustment.split(",") if c.strip())
-    s["roles"].check_adjustment(Z)
-    ds = load_csv(data, s["roles"])
-    clip = [s["clip_lo"], s["clip_hi"]]
-    report = {"command": "estimate", "data": str(data),
-              "roles": s["roles"].to_dict(), "adjustment": list(Z),
-              "h_mode": s["h_mode"], "clip": clip,
+    roles, s = _settings(**flags)
+    Z = _split(adjustment)
+    roles.check_adjustment(Z)
+    ds = load_csv(data, roles)
+    report = {"command": "estimate", "data": str(data), **s,
+              "roles": roles.to_dict(), "adjustment": list(Z),
               **_estimate_report(*estimate.fit_and_weight(
-                  ds, Z, s["h_mode"], tuple(clip)))}
+                  ds, Z, s["h_mode"], s["clip"]))}
     _emit(report, out)
 
 
 @main.command("pipeline")
 @click.argument("data", type=click.Path(exists=True))
-@_with_role_options
-@click.option("--alpha", type=float, default=None)
-@click.option("--max-subset-size", type=int, default=None)
-@click.option("--h-mode", type=click.Choice(shadow.H_MODES), default=None)
-@click.option("--clip-lo", type=float, default=None)
-@click.option("--clip-hi", type=float, default=None)
+@_setting_options("alpha", "max_subset_size", "h_mode", "clip_lo",
+                  "clip_hi")
 @click.option("--out", default=None)
 def cmd_pipeline(data, out, **flags):
     """Run the three-step procedure: gate test, search, then estimation."""
-    s = _settings(**flags)
-    ds = load_csv(data, s["roles"])
-    clip = [s["clip_lo"], s["clip_hi"]]
-    resolved = {"alpha": s["alpha"], "max_subset_size": s["max_subset_size"],
-                "h_mode": s["h_mode"], "clip": clip,
-                "roles": s["roles"].to_dict()}
+    roles, s = _settings(**flags)
+    ds = load_csv(data, roles)
     outcome_ = find_adjustment_set(ds, s["alpha"], s["max_subset_size"])
     report = {"command": "pipeline", "data": str(data),
-              "config": resolved, "search": outcome_.to_dict(),
+              "config": {**s, "roles": roles.to_dict()},
+              "search": outcome_.to_dict(),
               "response_propensity": None, "treatment_propensity": None,
               "estimate": None, "warnings": []}
     if outcome_.status == FOUND:
         report.update(_estimate_report(*estimate.fit_and_weight(
-            ds, outcome_.adjustment_set, s["h_mode"], tuple(clip))))
+            ds, outcome_.adjustment_set, s["h_mode"], s["clip"])))
     _emit(report, out)
     sys.exit(_STATUS_EXIT[outcome_.status])
 
@@ -260,19 +263,28 @@ def cmd_experiment():
     """Monte Carlo reproductions of the search and estimation studies."""
 
 
-_GRID_DEFAULT = "500,2500,5000,10000"
+_EXPERIMENT_OPTIONS = (
+    click.option("--n-grid", default="500,2500,5000,10000",
+                 show_default=True),
+    click.option("--trials", type=int, default=200, show_default=True),
+    _option("alpha", default=_SETTINGS["alpha"].default, show_default=True),
+    seed_option,
+    click.option("--jobs", type=int, default=None,
+                 help="Parallel workers (default: logical cores)."),
+    click.option("--out-dir", type=click.Path(), default=None,
+                 help="Write summary JSON and per-trial CSV here."))
 
 
-def _parse_grid(text: str):
+def _run_experiment(kind, run, head, n_grid, jobs, out_dir, **options):
+    """Run an experiment on the ``--n-grid`` sizes with ``--jobs`` workers
+    (default: the logical cores); emit its summary, ``head`` keys first."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        grid = tuple(int(v) for v in _split(n_grid))
     except ValueError:
-        raise click.ClickException(f"bad sample-size grid {text!r}") from None
-
-
-def _emit_experiment(summary: dict, report, kind: str, out_dir) -> None:
-    """The summary to stdout, or the summary JSON and the per-trial CSV to
-    ``out_dir``."""
+        raise click.ClickException(
+            f"bad sample-size grid {n_grid!r}") from None
+    report = run(grid, jobs=jobs or os.cpu_count() or 1, **options)
+    summary = {"command": f"experiment {kind}", **head, **report.to_dict()}
     if not out_dir:
         _emit(summary, None)
         return
@@ -284,47 +296,26 @@ def _emit_experiment(summary: dict, report, kind: str, out_dir) -> None:
 
 
 @cmd_experiment.command("search")
-@click.option("--n-grid", default=_GRID_DEFAULT, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@seed_option
-@click.option("--jobs", type=int, default=None,
-              help="Parallel workers (default: logical cores).")
-@click.option("--oracle", is_flag=True,
-              help="Replace the tests with the d-separation oracle.")
-@click.option("--out-dir", type=click.Path(), default=None,
-              help="Write summary JSON and per-trial CSV here.")
-def cmd_experiment_search(n_grid, trials, alpha, seed, jobs, oracle, out_dir):
+@_options(*_EXPERIMENT_OPTIONS, click.option(
+    "--oracle", is_flag=True,
+    help="Replace the tests with the d-separation oracle."))
+def cmd_experiment_search(oracle, **shared):
     """Sensitivity/specificity of the adjustment-set search."""
-    jobs = jobs or experiments.default_jobs()
-    report = experiments.run_search_experiment(
-        _parse_grid(n_grid), trials, alpha, seed=seed,
-        jobs=jobs, oracle=oracle)
-    summary = {"command": "experiment search", "oracle": oracle,
-               "jobs_invariant": True, **report.to_dict()}
-    _emit_experiment(summary, report, "search", out_dir)
+    _run_experiment("search", experiments.run_search_experiment,
+                    {"oracle": oracle, "jobs_invariant": True},
+                    oracle=oracle, **shared)
 
 
 @cmd_experiment.command("estimate")
-@click.option("--n-grid", default=_GRID_DEFAULT, show_default=True)
-@click.option("--trials", type=int, default=200, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--methods", default=",".join(experiments.ALL_METHODS),
-              show_default=True)
-@seed_option
-@click.option("--jobs", type=int, default=None)
-@click.option("--h-mode", type=click.Choice(shadow.H_MODES),
-              default=shadow.H_MODE_A_MEAN, show_default=True)
-@click.option("--out-dir", type=click.Path(), default=None)
-def cmd_experiment_estimate(n_grid, trials, alpha, methods, seed, jobs,
-                            h_mode, out_dir):
+@_options(*_EXPERIMENT_OPTIONS,
+          click.option("--methods", default=",".join(experiments.ALL_METHODS),
+                       show_default=True),
+          _option("h_mode", default=_SETTINGS["h_mode"].default,
+                  show_default=True))
+def cmd_experiment_estimate(methods, **shared):
     """Compare the full estimator against the oracle search and baselines."""
-    jobs = jobs or experiments.default_jobs()
-    method_list = tuple(m.strip() for m in methods.split(",") if m.strip())
-    report = experiments.run_estimation_experiment(
-        _parse_grid(n_grid), trials, alpha, methods=method_list, seed=seed, jobs=jobs, h_mode=h_mode)
-    summary = {"command": "experiment estimate", **report.to_dict()}
-    _emit_experiment(summary, report, "estimate", out_dir)
+    _run_experiment("estimate", experiments.run_estimation_experiment, {},
+                    methods=_split(methods), **shared)
 
 
 if __name__ == "__main__":

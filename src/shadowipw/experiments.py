@@ -7,7 +7,6 @@ Positive and negative search trials use disjoint seed offsets.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -188,12 +187,13 @@ class EstimationCell:
         return float(np.median(np.abs(np.asarray(self.estimates) - truth)))
 
     def to_dict(self, truth: float) -> dict:
-        q25, q50, q75 = self.quantiles()
+        # an empty cell's statistics are None, null in JSON, which has no NaN
+        q25, q50, q75, mae = ((*self.quantiles(), self.median_abs_error(truth))
+                              if self.estimates else (None,) * 4)
         return {"sample_size": self.sample_size, "method": self.method,
                 "trials": len(self.estimates) + self.n_not_found,
                 "n_not_found": self.n_not_found, "median": q50,
-                "q25": q25, "q75": q75,
-                "median_abs_error": self.median_abs_error(truth)}
+                "q25": q25, "q75": q75, "median_abs_error": mae}
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,3 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
                                         not_found))
     return EstimationExperimentReport(tuple(cells), truth, alpha, seed,
                                       tuple(rows))
-
-
-def default_jobs() -> int:
-    return os.cpu_count() or 1

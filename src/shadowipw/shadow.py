@@ -157,8 +157,9 @@ class _Moments:
         rows = respondent_rows(ds)
         a = ds.column(roles.treatment)
         h = [ds.column(z) for z in adjustment]
-        h.append(np.full(ds.n_rows, np.mean(a)) if h_mode == H_MODE_A_MEAN
-                 else a)
+        if h_mode == H_MODE_A_MEAN:   # no rows, no mean: the column is empty
+            a = np.full(ds.n_rows, np.mean(a) if ds.n_rows else 0.0)
+        h.append(a)
         self.Ht = np.stack([c.take(rows) for c in h])
         self.Ut = self.Ht.copy()
         self.Ut[-1] = y_ref - ds.column(roles.outcome).take(rows)
@@ -214,12 +215,12 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     moments = _Moments(ds, adjustment, h_mode)
     k = len(adjustment)
     m = moments.Ut.shape[1]
+    if m == 0:   # checked first: with no rows, m == n too
+        raise ShadowError("no observed outcomes; propensity is not estimable")
     if m == moments.n:
         warnings.warn("all outcomes observed; returning the trivial "
                       "propensity model (p = 1)", stacklevel=2)
         return ShadowPropensityModel.trivial(adjustment)
-    if m == 0:
-        raise ShadowError("no observed outcomes; propensity is not estimable")
 
     theta = np.zeros(k + 1)
     w = moments.weights(theta)
@@ -240,7 +241,11 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
             cand = theta + step
             cand_w = moments.weights(cand)
             cand_res = moments.residuals(cand_w)
-            if np.linalg.norm(cand_res) < norm0:
+            # a far candidate's residuals can square past the float range:
+            # its norm is then inf, and the step is halved
+            with np.errstate(over="ignore"):
+                cand_norm = np.linalg.norm(cand_res)
+            if cand_norm < norm0:
                 theta, w, res = cand, cand_w, cand_res
                 break
             step = step / 2.0

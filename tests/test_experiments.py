@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,17 @@ class TestEstimationExperiment:
         assert len(cell.estimates) + cell.n_not_found == 4
         blank_rows = [row for row in report.rows if row[3] == ""]
         assert len(blank_rows) == cell.n_not_found
+
+    def test_empty_cell_statistics_are_null(self):
+        # at n=30 the search finds no set, so the full cell has no
+        # estimates; its statistics are None, which JSON writes as null
+        report = run_estimation_experiment([30], 1, 0.05,
+                                           methods=(METHOD_FULL,), seed=4)
+        cell = report.to_dict()["cells"][0]
+        assert cell["n_not_found"] == 1
+        assert [cell[k] for k in ("median", "q25", "q75",
+                                  "median_abs_error")] == [None] * 4
+        json.dumps(report.to_dict(), allow_nan=False)
 
     def test_oracle_and_wrong_adjustment_summaries(self):
         report = run_estimation_experiment(

@@ -24,7 +24,10 @@ main(sys.argv[2:], prog_name="shadowipw")
 
 
 def python(*args, cwd=None):
-    env = {**os.environ, "PYTHONPATH": SRC}
+    # the suite's warning policy (pyproject's filterwarnings), which pytest
+    # does not pass on to a child process
+    env = {**os.environ, "PYTHONPATH": SRC,
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::UserWarning"}
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True)
 
@@ -85,6 +88,21 @@ def test_cli_runs_without_scipy_and_networkx(tmp_path):
                             if path.is_file()}
     assert len(reports[""]) == 5
     assert reports["scipy,networkx"] == reports[""]
+
+
+def test_cli_estimate_on_small_data_prints_no_warning(tmp_path):
+    # on 100 rows the response solve meets a Newton candidate whose
+    # residual norm overflows; the step is halved, and nothing may reach
+    # stderr, where a warning would fail this process
+    run = python("-c", RUN_CLI, "", "simulate", "--n", "100", "--seed", "1",
+                 "--out", "small.csv", cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    run = python("-c", RUN_CLI, "", "estimate", "small.csv", "--treatment",
+                 "A", "--outcome", "Y", "--response", "R", "--incentive", "I",
+                 "--covariates", "W1,W2,W3,W4", "--adjustment", "W2,W3,W4",
+                 cwd=tmp_path)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout.startswith("{")
 
 
 @pytest.fixture

@@ -96,6 +96,13 @@ class TestLrtSearch:
         assert sorted(set(tester._fits) - set(designs)) == [(False, "R"),
                                                            (True, "A")]
         assert_replays(exhaustive, outcome)
+        # on 8 rows most fits have no more rows than coefficients, so rule
+        # (d) meets prefixes that raise, and most records are errors
+        tiny = generate(default_config(n=8, seed=5))
+        outcome = find_adjustment_set(tiny, ALPHA)
+        assert outcome.status == NOT_FOUND
+        assert sum(rec.error is not None for rec in outcome.trail) == 28
+        assert_replays(tiny, outcome)
 
     def test_conditions_share_designs(self, base_ds_small, monkeypatch):
         tested = []

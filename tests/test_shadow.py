@@ -9,11 +9,13 @@ from scipy.special import expit
 
 from shadowipw import glm, shadow
 from shadowipw.data import DataError, Dataset, RoleMap
+from shadowipw.estimate import fit_and_weight
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               ShadowPropensityModel, ShadowError,
                               moment_residuals, or_blend, or_propensity,
                               reconstruct_propensity_from_joint,
                               solve_propensity)
+from shadowipw.simulate import default_config, generate
 
 
 def model(beta, gamma, y_ref=0.0, names=None):
@@ -389,6 +391,27 @@ class TestSolvePropensity:
             fit = solve_propensity(full, ("Z1",))
         assert fit.degenerate
         assert or_propensity(0.3, np.array([2.0]), fit) == 1.0
+
+    @pytest.mark.parametrize("h_mode", [H_MODE_A_MEAN, H_MODE_A_ROW])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_observed_outcome_is_refused(self, n, h_mode):
+        # with no rows every outcome is also (vacuously) observed: the
+        # refusal must win over the all-observed warning, and no empty mean
+        # may warn on the way, which Tier-1's warning filter would fail
+        cols = {"A": np.arange(n) % 2.0, "Y": np.full(n, np.nan),
+                "R": np.zeros(n), "I": np.linspace(-1.0, 1.0, n),
+                "Z1": np.linspace(0.0, 1.0, n)}
+        ds = Dataset(cols, RoleMap("A", "Y", "R", "I", ("Z1",)))
+        with pytest.raises(ShadowError, match="^no observed outcomes"):
+            solve_propensity(ds, ("Z1",), h_mode)
+
+    def test_far_newton_candidate_is_halved_without_warning(self):
+        # on these 100 rows a far Newton candidate's residuals are about
+        # 1e217, and their norm overflows to inf; the step is halved, and
+        # no RuntimeWarning may reach Tier-1's filter
+        ds = generate(default_config(n=100, seed=1))
+        model, _, est = fit_and_weight(ds, ("W2", "W3", "W4"))
+        assert model.used_fallback and np.isfinite(est.ace)
 
     def test_row_order_invariance(self):
         ds, _ = shadow_dataset([0.6, 0.2], gamma=-0.9, n=4000, seed=10)
