@@ -270,20 +270,26 @@ _EXPERIMENT_OPTIONS = (
     _option("alpha", default=_SETTINGS["alpha"].default, show_default=True),
     seed_option,
     click.option("--jobs", type=int, default=None,
-                 help="Parallel workers (default: logical cores)."),
+                 help="Parallel workers (default: the CPUs this process "
+                      "may use)."),
     click.option("--out-dir", type=click.Path(), default=None,
                  help="Write summary JSON and per-trial CSV here."))
 
 
 def _run_experiment(kind, run, head, n_grid, jobs, out_dir, **options):
     """Run an experiment on the ``--n-grid`` sizes with ``--jobs`` workers
-    (default: the logical cores); emit its summary, ``head`` keys first."""
+    (default: the CPUs this process may run on, which an affinity mask such
+    as ``taskset``'s can make fewer than the host's); emit its summary,
+    ``head`` keys first."""
     try:
         grid = tuple(int(v) for v in _split(n_grid))
     except ValueError:
         raise click.ClickException(
             f"bad sample-size grid {n_grid!r}") from None
-    report = run(grid, jobs=jobs or os.cpu_count() or 1, **options)
+    if not jobs:
+        jobs = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    report = run(grid, jobs=jobs, **options)
     summary = {"command": f"experiment {kind}", **head, **report.to_dict()}
     if not out_dir:
         _emit(summary, None)

@@ -13,15 +13,18 @@ columns and multiplies them by -s once, into a ``FoldedDesign``; a caller
 that fits many designs on one response folds their columns into one table
 and gathers each design's rows from it (``FoldedDesign.take``), so a fit
 makes no validation or fold pass of its own. The Newton step solves
-gram @ step = score. A step is kept when it lowers the log-likelihood by
-no more than a bound scaled to |ll|, the rounding error of a sum over
-many rows. A fit may be
-warm-started; ``citest`` starts each design from a fit of a nested or a
-larger design (its start rules (a)-(d)). The elementwise passes run on
-all rows at once; only the score and weighted gram products are summed
-over equal blocks of at most ``BLOCK_ROWS`` rows that stay in cache
-(``_summed``), so a fit over more than ``BLOCK_ROWS`` rows differs in its
-last digits from a one-pass sum. Such a fit, when given no start,
+gram @ step = score, and the first step's rank check takes the gram's
+eigenvalues, by one LAPACK call each (``_lapack``, which ``shadow``'s
+Newton steps use too): np.linalg's bits without its Python wrappers,
+which cost more than a p <= 7 solve. The p-length norms are taken on
+Python floats. A step is kept when it lowers the log-likelihood by no
+more than a bound scaled to |ll|, the rounding error of a sum over many
+rows. A fit may be warm-started; ``citest`` starts each design from a fit
+of a nested or a larger design (its start rules (a)-(d)). The elementwise
+passes run on all rows at once; only the score and weighted gram products
+are summed over equal blocks of at most ``BLOCK_ROWS`` rows that stay in
+cache (``_summed``), so a fit over more than ``BLOCK_ROWS`` rows differs
+in its last digits from a one-pass sum. Such a fit, when given no start,
 starts from a fit on every ``PILOT_STRIDE``-th row (the pilot fit), which
 saves it about half its Newton steps on the full rows.
 """
@@ -32,6 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # L2 coefficient norm beyond which a logistic fit is treated as separated
 SEPARATION_NORM = 30.0
@@ -52,6 +56,13 @@ BLOCK_ROWS = 16384
 # treatment fits took 2.8 ms against 2.3 ms with a stride of 16, and the
 # two were equal at 10^5 rows.
 PILOT_STRIDE = 16
+_EPS = float(np.finfo(float).eps)
+# _lapack's gufuncs, with their float64 signatures and LinAlgError messages
+_LAPACK = {
+    "solve1": (_umath_linalg.solve1, "dd->d", "Singular matrix"),
+    "eigvalsh_lo": (_umath_linalg.eigvalsh_lo, "d->d",
+                    "Eigenvalues did not converge"),
+}
 
 
 class GlmError(ValueError):
@@ -140,6 +151,23 @@ def chi_square_sf(x: float, df: int) -> float:
     return q
 
 
+def _lapack(name, *operands):
+    """The LAPACK call that ``np.linalg.solve(a, b)`` (``"solve1"``, b
+    one-dimensional) or ``np.linalg.eigvalsh(a)`` (``"eigvalsh_lo"``) makes
+    on float64 operands, with the same bits, without their Python wrappers,
+    which cost more than the LAPACK call on a p <= 7 system. It runs under
+    the errstate NumPy uses, so a singular system, or eigenvalues that do
+    not converge, raise ``LinAlgError`` and warn nothing."""
+    gufunc, signature, message = _LAPACK[name]
+
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+
+    with np.errstate(call=fail, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return gufunc(*operands, signature=signature)
+
+
 def _evaluate(beta, Xs, colmax):
     # t = -s*eta at beta, s = 2y-1, and with it e = exp(t) and the
     # log-likelihood -sum log(1 + e): one exp serves the likelihood, the
@@ -151,7 +179,7 @@ def _evaluate(beta, Xs, colmax):
         np.maximum(e, -SATURATION, out=e)
         np.minimum(e, SATURATION, out=e)
     np.exp(e, out=e)
-    return e, -float(np.sum(np.log1p(e)))
+    return e, -float(np.log1p(e).sum())
 
 
 def _summed(product, n):
@@ -183,11 +211,13 @@ def _fit_logistic(y, Xs, colmax, start):
         # y - mu = s*e*q and mu*(1-mu) = e*q*q
         q = np.add(1.0, e)
         np.divide(1.0, q, out=q)
-        r = e * q
+        # e is read no more: the next candidate brings its own
+        r = np.multiply(e, q, out=e)
         score = -_summed(lambda b: Xs[:, b] @ r[b], y.size)
         # the first pass always builds a Newton system, where a singular
-        # design shows, even when a warm start begins at the optimum
-        if iterations > 1 and np.max(np.abs(score)) < TOL:
+        # design shows, even when a warm start begins at the optimum. The
+        # p-length vectors are read as Python floats, with the same values
+        if iterations > 1 and max(map(abs, score.tolist())) < TOL:
             converged = True
             iterations -= 1
             break
@@ -197,12 +227,11 @@ def _fit_logistic(y, Xs, colmax, start):
         if iterations == 1:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
-            eig = np.linalg.eigvalsh(gram)
-            rounding = eig[-1] * y.size * np.finfo(float).eps
-            rank_deficient = bool(eig[0] <= rounding)
+            eig = _lapack("eigvalsh_lo", gram).tolist()
+            rank_deficient = eig[0] <= eig[-1] * y.size * _EPS
         if not rank_deficient:
             try:
-                step = np.linalg.solve(gram, score)
+                step = _lapack("solve1", gram, score)
             except np.linalg.LinAlgError:
                 rank_deficient = True
         if rank_deficient:
@@ -229,7 +258,8 @@ def _fit_logistic(y, Xs, colmax, start):
             iterations -= 1
             break
         beta, e, ll = cand, e_cand, ll_cand
-        if np.linalg.norm(beta) > SEPARATION_NORM:
+        # the L2 norm, by np.linalg.norm's own formula
+        if math.sqrt(beta @ beta) > SEPARATION_NORM:
             separated = True
             break
     if separated:

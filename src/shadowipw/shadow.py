@@ -31,6 +31,7 @@ rather than a number.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -160,7 +161,10 @@ class _Moments:
         if h_mode == H_MODE_A_MEAN:   # no rows, no mean: the column is empty
             a = np.full(ds.n_rows, np.mean(a) if ds.n_rows else 0.0)
         h.append(a)
-        self.Ht = np.stack([c.take(rows) for c in h])
+        # each column gathered straight into its row
+        self.Ht = np.empty((len(h), rows.size))
+        for j, c in enumerate(h):
+            np.take(c, rows, out=self.Ht[j])
         self.Ut = self.Ht.copy()
         self.Ut[-1] = y_ref - ds.column(roles.outcome).take(rows)
         missing = 1.0 - r
@@ -227,16 +231,18 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     res = moments.residuals(w)
     iterations = 0
     stalled = False
+    # the (k+1)-length vectors' norms are read as Python floats: the max
+    # norm of their elements, and the L2 norm by np.linalg.norm's formula
     for iterations in range(1, MAX_ITER + 1):
-        if np.max(np.abs(res)) < TOL:
+        if max(map(abs, res.tolist())) < TOL:
             iterations -= 1
             break
         try:
-            step = np.linalg.solve(moments.jacobian(w), -res)
+            step = glm._lapack("solve1", moments.jacobian(w), -res)
         except np.linalg.LinAlgError:
             stalled = True
             break
-        norm0 = np.linalg.norm(res)
+        norm0 = math.sqrt(res @ res)
         for _ in range(21):
             cand = theta + step
             cand_w = moments.weights(cand)
@@ -244,7 +250,7 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
             # a far candidate's residuals can square past the float range:
             # its norm is then inf, and the step is halved
             with np.errstate(over="ignore"):
-                cand_norm = np.linalg.norm(cand_res)
+                cand_norm = math.sqrt(cand_res @ cand_res)
             if cand_norm < norm0:
                 theta, w, res = cand, cand_w, cand_res
                 break
@@ -255,7 +261,7 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     if stalled:   # the attempt that stalled applied no step
         iterations -= 1
 
-    residual_norm = float(np.max(np.abs(res)))
+    residual_norm = max(map(abs, res.tolist()))
     return ShadowPropensityModel(
         beta=theta[:k], gamma=float(theta[k]), y_ref=Y_REF,
         adjustment=adjustment, residual_norm=residual_norm,

@@ -135,14 +135,17 @@ def generate(config: DgpConfig) -> Dataset:
 
     y_observed = np.where(r == 1.0, y_complete, np.nan)
 
-    columns = {"W1": W[:, 0], "W2": W[:, 1], "W3": W[:, 2], "W4": W[:, 3],
+    # every column is a fresh array, W's gathered once into rows, so the
+    # Dataset need not copy them
+    Wt = np.ascontiguousarray(W.T)
+    columns = {"W1": Wt[0], "W2": Wt[1], "W3": Wt[2], "W4": Wt[3],
                "I": incentive, "A": a, "Y": y_observed, "R": r,
                ORACLE_COMPLETE: y_complete, ORACLE_ARM1: y_arm1,
                ORACLE_ARM0: y_arm0}
     if config.scenario == SCENARIO_HIDE_W4:
         del columns["W4"]
     oracle = (ORACLE_COMPLETE, ORACLE_ARM1, ORACLE_ARM0)
-    return Dataset(columns, roles_for(config), oracle)
+    return Dataset(columns, roles_for(config), oracle, copy=False)
 
 
 @lru_cache(maxsize=32, typed=True)   # so a cached 1000 cannot answer 1000.0

@@ -1,11 +1,12 @@
 import json
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shadowipw import cli, estimate
+from shadowipw import cli, estimate, experiments
 from shadowipw.cli import (_SETTINGS, EXIT_C1_FAILED, EXIT_NOT_FOUND,
                            EXIT_OK, _estimate_report, main)
 from shadowipw.data import RoleMap, load_csv, write_csv
@@ -378,6 +379,25 @@ class TestExperimentCommands:
                 (out_dir / "search_summary.json").read_bytes(),
                 (out_dir / "search_trials.csv").read_bytes()))
         assert payloads[0] == payloads[1]
+
+    def test_default_jobs_counts_the_cpus_this_process_may_use(
+            self, runner, monkeypatch):
+        # pinned to one CPU of an 8-CPU host, as under `taskset -c 0`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        calls = []
+        run = experiments.run_search_experiment
+
+        def recorded(grid, jobs, **options):
+            calls.append(jobs)
+            return run(grid, jobs=1, **options)
+
+        monkeypatch.setattr(experiments, "run_search_experiment", recorded)
+        result = runner.invoke(main, ["experiment", "search", "--n-grid",
+                                      "100", "--trials", "1", "--oracle"])
+        assert result.exit_code == 0, result.output
+        assert calls == [1]
 
     def test_estimate_experiment_writes_summary(self, tmp_path, runner):
         out_dir = tmp_path / "est"

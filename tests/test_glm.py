@@ -562,6 +562,49 @@ class TestSignFoldedKernel:
             assert got_ll.hex() == (-float(np.sum(np.log1p(e)))).hex()
 
 
+class TestLapackCall:
+    """glm._lapack makes the LAPACK call of np.linalg.solve or
+    np.linalg.eigvalsh without their Python wrappers: the same bits, and
+    LinAlgError, with no warning, where they raise it."""
+
+    @staticmethod
+    def grams(p, rng):
+        # weighted grams X W X' of p x 200 designs, as a fit forms them:
+        # well conditioned, with columns on scales 1e-3..1e3, and with the
+        # last column within 1e-7 of the first (both ill conditioned)
+        for case in ("regular", "scaled", "near_collinear"):
+            for _ in range(10):
+                X = rng.normal(size=(p, 200))
+                if case == "scaled":
+                    X *= np.geomspace(1e-3, 1e3, p)[:, None]
+                elif case == "near_collinear" and p > 1:
+                    X[-1] = X[0] + 1e-7 * rng.normal(size=200)
+                w = rng.uniform(1e-10, 0.25, size=200)
+                yield (X * w) @ X.T, rng.normal(size=p)
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_matches_numpy_linalg_bit_for_bit(self, p):
+        for gram, score in self.grams(p, np.random.default_rng(p)):
+            assert glm._lapack("solve1", gram, score).tobytes() == \
+                np.linalg.solve(gram, score).tobytes()
+            assert glm._lapack("eigvalsh_lo", gram).tobytes() == \
+                np.linalg.eigvalsh(gram).tobytes()
+
+    @pytest.mark.parametrize("a", [np.zeros((1, 1)), np.ones((3, 3)),
+                                   np.array([[1.0, 2.0], [2.0, 4.0]])])
+    def test_singular_system_raises_without_a_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular"):
+                glm._lapack("solve1", a, np.ones(a.shape[0]))
+
+    def test_unconverged_eigenvalues_raise_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="did not conv"):
+                glm._lapack("eigvalsh_lo", np.full((3, 3), np.nan))
+
+
 class TestFoldedTable:
     """A design gathered from a folded table (glm.fold, FoldedDesign.take),
     as a search fits each of its designs, is fitted as fit_glm fits the
