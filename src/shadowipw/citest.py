@@ -31,19 +31,20 @@ folded once by ``glm.fold``. ``_table`` alone stores a table and
 rows of its table. Each design starts from a start that depends on the
 design alone, so a fit is the same whichever test asks for it first:
 
-  (a) no covariates and no tested role (R ~ 1, R ~ A, A ~ Y): zeros;
-  (b) with the tested role: its null fit, with the role's coefficient 0;
-  (c) C3 and C4, with covariates: the reference fit, the given roles plus
-      every covariate fitted from zeros, restricted to the design's
-      columns; zeros if the reference raises, does not converge (a
-      separated fit does not) or is rank deficient. The reference is the
-      full design of the search's first witness at its last candidate;
-  (d) C2, with covariates: the fit of the design without its last
-      covariate, that covariate's coefficient 0; zeros if that fit raises
-      or did not converge. A search tests every shorter prefix before it.
+  the reference rule, for C3 and C4 designs with a covariate: the
+      reference fit (the given roles and every covariate, from zeros; the
+      full design of the search's first witness at its last candidate),
+      restricted to the design's columns; zeros if the reference raises,
+      does not converge (a separated fit does not) or is rank deficient;
+  the prefix rule, for every other design: the fit of the design without
+      its last column, with that column at 0, every shorter prefix fitted
+      first; zeros if that fit raises or did not converge, or if the
+      design has no column beyond the row's given roles (R ~ 1, R ~ A,
+      A ~ Y). A C1 or C2 full design's prefix is its null design.
 
-Rule (c) is not used for C2 because C2's reference always holds the
-witness the search excludes, so it would be a fit no test needs.
+C2 takes the prefix rule: its reference would hold the witness the search
+excludes, a fit no test needs, while its prefixes are the C2 null designs
+of smaller adjustment sets, which the search tests earlier.
 """
 
 from __future__ import annotations
@@ -177,19 +178,10 @@ def _design_fit(fits: dict, ds: Dataset, cond: Condition, design):
 
 
 def _start(fits: dict, ds: Dataset, cond: Condition, design):
-    # the start rules (a)-(d) of the module docstring; None means zeros
-    roles = ds.roles
+    # the module docstring's reference or prefix rule; None means zeros
     given = len(cond.given)
-    tested = cond.added and getattr(roles, cond.added)
-    if design[-1:] == (tested,):
-        # (b): the tested role joins its null fit at 0
-        null_fit = _design_fit(fits, ds, cond, design[:-1])
-        return np.append(null_fit.coefficients, 0.0)
-    if len(design) == given:
-        return None                                               # (a)
-    if cond.added is None:
-        # (c): the reference, restricted to the design's columns
-        reference = design[:given] + roles.covariates
+    if cond.added is None and len(design) > given:
+        reference = design[:given] + ds.roles.covariates
         if design == reference:
             return None
         try:
@@ -198,13 +190,12 @@ def _start(fits: dict, ds: Dataset, cond: Condition, design):
             return None
         if not ref.converged or ref.rank_deficient:
             return None
-        keep = [*range(1 + given), *(1 + given + roles.covariates.index(c)
-                                     for c in design[given:])]
-        return ref.coefficients[keep]
-    # (d): the design without its last covariate, at 0. The prefixes are
-    # fitted shortest first, so each one's own rule (d) finds its shorter
-    # prefixes stored and no call recurses more than one level; a prefix
-    # that raises is tried again at each level and gives zeros each time
+        return ref.coefficients[[0, *(1 + reference.index(c)
+                                      for c in design)]]
+    # the prefixes are fitted shortest first, so each one's own prefix rule
+    # finds its shorter prefixes stored and no call recurses more than one
+    # level; a prefix that raises is tried again at each level and gives
+    # zeros each time
     start = None
     for j in range(given, len(design)):
         try:

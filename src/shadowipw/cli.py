@@ -286,7 +286,7 @@ def _run_experiment(kind, run, head, n_grid, jobs, out_dir, **options):
     except ValueError:
         raise click.ClickException(
             f"bad sample-size grid {n_grid!r}") from None
-    if not jobs:
+    if jobs is None:
         jobs = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     report = run(grid, jobs=jobs, **options)

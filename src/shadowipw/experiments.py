@@ -7,6 +7,7 @@ Positive and negative search trials use disjoint seed offsets.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ def _search_trial(args):
 def _distinct(values, what: str) -> tuple:
     """``values`` as a tuple, nonempty and without repeats: a repeat would
     make two cells that ``cell()`` cannot tell apart."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a sequence, got {values!r}")
     values = tuple(values)
     if not values:
         raise ValueError(f"no {what} given")
@@ -112,12 +115,16 @@ def _distinct(values, what: str) -> tuple:
     return values
 
 
-def _check_design(sample_sizes, trials: int, alpha) -> tuple:
+def _check_design(sample_sizes, trials: int, alpha, jobs) -> tuple:
     """The sample-size grid as a tuple, once ``alpha`` is known to lie in
-    (0, 1), the sizes to be distinct and >= 1 and ``trials`` to be >= 1."""
+    (0, 1), the sizes to be distinct and >= 1, ``trials`` >= 1 and ``jobs``
+    an integer >= 1 (not a bool)."""
     check_search_settings(alpha)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if isinstance(jobs, bool) or not (isinstance(jobs, numbers.Integral)
+                                      and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     sample_sizes = _distinct(sample_sizes, "sample sizes")
     for n in sample_sizes:
         if n < 1:
@@ -146,7 +153,7 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     With ``oracle=True`` the likelihood-ratio tests are replaced by
     d-separation on the generating graph.
     """
-    sample_sizes = _check_design(sample_sizes, trials, alpha)
+    sample_sizes = _check_design(sample_sizes, trials, alpha, jobs)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
@@ -254,7 +261,7 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
-    sample_sizes = _check_design(sample_sizes, trials, alpha)
+    sample_sizes = _check_design(sample_sizes, trials, alpha, jobs)
     methods = _distinct(methods, "methods")
     for m in methods:
         if m not in ALL_METHODS:

@@ -20,7 +20,7 @@ which cost more than a p <= 7 solve. The p-length norms are taken on
 Python floats. A step is kept when it lowers the log-likelihood by no
 more than a bound scaled to |ll|, the rounding error of a sum over many
 rows. A fit may be warm-started; ``citest`` starts each design from a fit
-of a nested or a larger design (its start rules (a)-(d)). The elementwise
+of a nested or a larger design (its two start rules). The elementwise
 passes run on all rows at once; only the score and weighted gram products
 are summed over equal blocks of at most ``BLOCK_ROWS`` rows that stay in
 cache (``_summed``), so a fit over more than ``BLOCK_ROWS`` rows differs

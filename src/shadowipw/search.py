@@ -64,7 +64,7 @@ class LrtTester:
     All four conditions share one memo of logistic fits, keyed on
     ``(respondents_only, endpoint, design)`` as ``citest`` lists a design,
     so each design the search needs is fitted once. A design's start
-    depends on the design alone (``citest``'s rules (a)-(d)), so a memo
+    depends on the design alone (``citest``'s two start rules), so a memo
     hit is the fit an uncached ``citest`` call would compute, and the trail
     replays bit for bit. C2 does not involve the witness, so the search
     asks it about the same adjustment set under several witnesses; each

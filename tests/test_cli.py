@@ -545,6 +545,19 @@ class TestArgumentChecks:
         assert "trials must be >= 1" in result.output
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("experiment", ["search", "estimate"])
+    @pytest.mark.parametrize("jobs", ["0", "-5"])
+    def test_experiments_reject_jobs_below_one(self, tmp_path, runner,
+                                               experiment, jobs):
+        out_dir = tmp_path / "out"
+        result = runner.invoke(main, [
+            "experiment", experiment, "--n-grid", "200", "--trials", "1",
+            "--jobs", jobs, "--out-dir", str(out_dir)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"jobs must be an integer >= 1, got {jobs}" in result.output
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("experiment,args,message", [
         ("search", ["--n-grid", ","], "no sample sizes given"),
         ("estimate", ["--n-grid", ","], "no sample sizes given"),

@@ -9,6 +9,7 @@ from shadowipw.experiments import (run_estimation_experiment,
                                    run_search_experiment)
 
 BAD_ALPHAS = [0, 1, 1.5, float("nan"), "0.05", True]
+BAD_JOBS = [0, -5, 1.5, "2", True, None]
 
 
 class TestSearchExperiment:
@@ -151,3 +152,37 @@ class TestAlpha:
         est = run_estimation_experiment([400], 1, alpha,
                                         methods=(METHOD_ORACLE_SEARCH,))
         assert len(est.cell(400, METHOD_ORACLE_SEARCH).estimates) == 1
+
+
+class TestDesignInputs:
+    """Both experiments refuse a worker count that is not an integer >= 1,
+    and a string where a sequence of sample sizes or methods belongs."""
+
+    @pytest.mark.parametrize("run", [run_search_experiment,
+                                     run_estimation_experiment])
+    @pytest.mark.parametrize("jobs", BAD_JOBS, ids=repr)
+    def test_jobs_refused(self, run, jobs):
+        with pytest.raises(ValueError) as raised:
+            run([200], 1, 0.05, jobs=jobs)
+        assert str(raised.value) == \
+            f"jobs must be an integer >= 1, got {jobs!r}"
+
+    def test_numpy_integer_jobs_accepted(self):
+        report = run_search_experiment([300], 1, 0.05, seed=1,
+                                       jobs=np.int64(1), oracle=True)
+        assert report.cell(300).tp == 1
+
+    @pytest.mark.parametrize("methods", [METHOD_FULL, METHOD_ORACLE_SEARCH])
+    def test_methods_string_refused(self, methods):
+        with pytest.raises(ValueError) as raised:
+            run_estimation_experiment([200], 1, 0.05, methods=methods)
+        assert str(raised.value) == \
+            f"methods must be a sequence, got {methods!r}"
+
+    @pytest.mark.parametrize("run", [run_search_experiment,
+                                     run_estimation_experiment])
+    def test_sample_sizes_string_refused(self, run):
+        with pytest.raises(ValueError) as raised:
+            run("123", 1, 0.05)
+        assert str(raised.value) == \
+            "sample sizes must be a sequence, got '123'"

@@ -40,6 +40,7 @@ DATASETS = {
     "add_a_to_ry.csv": ("add_a_to_ry", 10_000, 1),
     "hide_w4.csv": ("hide_w4", 10_000, 1),
     "hide_w4_large.csv": ("hide_w4", 100_000, 7),
+    "base_large.csv": ("base", 100_000, 7),
 }
 
 # the reports: case name -> (command, data file, extra arguments)
@@ -51,6 +52,8 @@ CASES = {
     "estimate_base_a_row": ("estimate", "base.csv",
                             ("--h-mode", "a_row", "--adjustment", "W2,W3")),
     "pipeline_hide_w4_large": ("pipeline", "hide_w4_large.csv", ()),
+    "estimate_base_large": ("estimate", "base_large.csv",
+                            ("--adjustment", "W2,W3,W4")),
 }
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from shadowipw import citest
 from shadowipw.citest import C1, C3, C4, ConditionRecord
-from shadowipw.data import Dataset, RoleMap
-from shadowipw.glm import CiTestResult
+from shadowipw.data import Dataset, RoleMap, subset_observed
+from shadowipw.glm import (CiTestResult, design_matrix, fit_glm,
+                           likelihood_ratio_test)
 from shadowipw.search import (C1_FAILED, FOUND, NOT_FOUND, GraphOracleTester,
                               LrtTester, SearchOutcome, find_adjustment_set)
 from shadowipw.simulate import default_config, generate, scenario_graph
@@ -96,8 +97,8 @@ class TestLrtSearch:
         assert sorted(set(tester._fits) - set(designs)) == [(False, "R"),
                                                            (True, "A")]
         assert_replays(exhaustive, outcome)
-        # on 8 rows most fits have no more rows than coefficients, so rule
-        # (d) meets prefixes that raise, and most records are errors
+        # on 8 rows most fits have no more rows than coefficients, so the
+        # prefix rule meets prefixes that raise, and most records are errors
         tiny = generate(default_config(n=8, seed=5))
         outcome = find_adjustment_set(tiny, ALPHA)
         assert outcome.status == NOT_FOUND
@@ -245,6 +246,84 @@ class TestFallbackStarts:
         assert sum(warm) == 1
         assert {"C3", "C4"} <= {rec.condition for rec in outcome.trail
                                 if rec.result is not None}
+
+
+class TestStartContract:
+    """Every design starts from zeros (None), from its one-shorter prefix's
+    coefficients with 0 appended when that prefix converged, or from the
+    reference fit's coefficients at the design's columns; the reference is
+    the design's roles followed by every covariate."""
+
+    @staticmethod
+    def search_starts(ds, monkeypatch):
+        # fit_glm is called for each design after its start's own fits, in
+        # the order the memo stores them; a call that raises stores nothing
+        starts = []
+        original = citest.fit_glm
+
+        def fit_glm(y, X, start=None):
+            fit = original(y, X, start)
+            starts.append(start)
+            return fit
+
+        monkeypatch.setattr(citest, "fit_glm", fit_glm)
+        tester = LrtTester(ds)
+        find_adjustment_set(ds, ALPHA, tester=tester)
+        monkeypatch.undo()
+        designs = [key for key in tester._fits if len(key) == 3]
+        assert len(starts) == len(designs)
+        return tester._fits, zip(designs, starts)
+
+    @pytest.mark.parametrize("config", [
+        default_config(n=2500, seed=8, scenario="hide_w4"),
+        default_config(n=8, seed=5)], ids=["hide_w4", "tiny"])
+    def test_each_start_is_zeros_a_prefix_or_the_reference(self, config,
+                                                           monkeypatch):
+        ds = generate(config)
+        fits, starts = self.search_starts(ds, monkeypatch)
+        covariates = ds.roles.covariates
+        kinds = set()
+        for (respondents_only, endpoint, design), start in starts:
+            if start is None:
+                kinds.add("zeros")
+                continue
+            prefix = fits.get((respondents_only, endpoint, design[:-1]))
+            if (prefix is not None and prefix.converged and
+                    np.append(prefix.coefficients, 0.0).tobytes()
+                    == start.tobytes()):
+                kinds.add("prefix")
+                continue
+            reference = tuple(c for c in design if c not in covariates) \
+                + covariates
+            ref = fits[respondents_only, endpoint, reference]
+            columns = [0, *(1 + reference.index(c) for c in design)]
+            assert ref.coefficients[columns].tobytes() == start.tobytes()
+            kinds.add("reference")
+        assert kinds == {"zeros", "prefix", "reference"}
+
+    def test_full_design_with_a_separated_null_starts_from_zeros(
+            self, monkeypatch):
+        # the C2 null A ~ Y + W2 on these 30 rows' respondents is separated
+        # and did not converge, so its full design A ~ Y + W2 + I starts
+        # from zeros, and the record is the LRT of two cold fits
+        ds = generate(default_config(n=30, seed=30))
+        starts = []
+        original = citest.fit_glm
+        monkeypatch.setattr(citest, "fit_glm", lambda y, X, start=None:
+                            starts.append(start) or original(y, X, start))
+        fits = {}
+        record = citest.test_c2(ds, ("W2",), ALPHA, fits)
+        monkeypatch.undo()
+        null = fits[True, "A", ("Y", "W2")]
+        assert null.separated and not null.converged
+        assert list(fits)[-1] == (True, "A", ("Y", "W2", "I"))
+        assert starts[-1] is None
+        rows = subset_observed(ds)
+        y = rows.column("A")
+        cold = [fit_glm(y, design_matrix(rows.n_rows,
+                                         *map(rows.column, design)))
+                for design in (("Y", "W2"), ("Y", "W2", "I"))]
+        assert record.result == likelihood_ratio_test(*cold, ALPHA)
 
 
 # (scenario, seed) -> (status, witness, adjustment_set, tests_run) at
