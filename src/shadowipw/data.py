@@ -175,12 +175,6 @@ class Dataset:
         cols = {n: a[mask_or_index] for n, a in self._columns.items()}
         return Dataset(cols, self.roles, self._oracle, copy=False)
 
-    def equals(self, other: "Dataset") -> bool:
-        if self.names != other.names:
-            return False
-        return all(np.array_equal(self._columns[n], other._columns[n],
-                                  equal_nan=True) for n in self.names)
-
 
 def _cell(text: str) -> float:
     """A cell's value, NaN if missing. Numbers take the syntax of NumPy's

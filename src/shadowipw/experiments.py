@@ -115,21 +115,26 @@ def _distinct(values, what: str) -> tuple:
     return values
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer >= 1, and not a bool."""
+    return (not isinstance(value, bool)
+            and isinstance(value, numbers.Integral) and value >= 1)
+
+
 def _check_design(sample_sizes, trials: int, alpha, jobs) -> tuple:
-    """The sample-size grid as a tuple, once ``alpha`` is known to lie in
-    (0, 1), the sizes to be distinct and >= 1, ``trials`` >= 1 and ``jobs``
-    an integer >= 1 (not a bool)."""
+    """The sample-size grid as a tuple and ``trials`` as an int, once
+    ``alpha`` is known to lie in (0, 1), the sizes to be distinct and >= 1,
+    and ``trials`` and ``jobs`` integers >= 1 (not bools)."""
     check_search_settings(alpha)
-    if trials < 1:
+    if not _is_count(trials):
         raise ValueError("trials must be >= 1")
-    if isinstance(jobs, bool) or not (isinstance(jobs, numbers.Integral)
-                                      and jobs >= 1):
+    if not _is_count(jobs):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     sample_sizes = _distinct(sample_sizes, "sample sizes")
     for n in sample_sizes:
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-    return sample_sizes
+    return sample_sizes, int(trials)
 
 
 def _run_jobs(fn, jobs_args, jobs: int):
@@ -153,7 +158,8 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     With ``oracle=True`` the likelihood-ratio tests are replaced by
     d-separation on the generating graph.
     """
-    sample_sizes = _check_design(sample_sizes, trials, alpha, jobs)
+    sample_sizes, trials = _check_design(sample_sizes, trials, alpha,
+                                         jobs)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
@@ -261,7 +267,8 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
-    sample_sizes = _check_design(sample_sizes, trials, alpha, jobs)
+    sample_sizes, trials = _check_design(sample_sizes, trials, alpha,
+                                         jobs)
     methods = _distinct(methods, "methods")
     for m in methods:
         if m not in ALL_METHODS:

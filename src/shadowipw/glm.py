@@ -6,7 +6,12 @@ the response's sign, one ``e = exp(-s*eta)`` per candidate gives the
 log-likelihood -sum log(1 + e), the residual y - mu = s*e/(1+e) and the
 weight mu(1-mu) = e/(1+e)^2; the accepted candidate's e and log-likelihood
 carry into the next iteration, so an iteration whose full step is kept
-evaluates exp once. The design, row i times -s_i, gives -s*eta, the score
+evaluates exp once. The last step evaluates nothing: once the Newton
+decrement lam2 = score @ step predicts a gain lam2/2 within the bound that
+step acceptance allows (below), the step is taken unevaluated, the fit
+has converged and reports ll + lam2/2, the log-likelihood at its
+coefficients to third order; the coefficients are those the evaluated step
+would give. The design, row i times -s_i, gives -s*eta, the score
 and the gram in one product each; -s*eta is clipped only where that can
 change a bit (``fit_glm``). ``fold`` validates a response and its design
 columns and multiplies them by -s once, into a ``FoldedDesign``; a caller
@@ -243,24 +248,33 @@ def _fit_logistic(y, Xs, colmax, start):
             sw = np.sqrt(w)
             z = eta + (2.0 * y - 1.0) * r / w
             step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
-        # step-halving: never accept a step that decreases the likelihood by
-        # more than the rounding error of its sum over rows, which grows
-        # with |ll|
-        floor = ll - 1e-12 * max(1.0, abs(ll))
-        for _ in range(20):
-            cand = beta + step
-            e_cand, ll_cand = _evaluate(cand, Xs, colmax)
-            if ll_cand >= floor:
-                break
-            step = step / 2.0
+        # the rounding error of a sum over rows, which grows with |ll|, and
+        # the Newton decrement: a Newton step gains lam2 / 2, to third order
+        tol = 1e-12 * max(1.0, abs(ll))
+        lam2 = math.inf if rank_deficient else float(score @ step)
+        if lam2 / 2.0 <= tol:
+            # a gain below the rounding error that step acceptance allows:
+            # the last step is taken unevaluated, and the fit has converged
+            beta, ll, converged = beta + step, ll + lam2 / 2.0, True
         else:
-            # no checked step keeps the likelihood, so none is applied
-            iterations -= 1
-            break
-        beta, e, ll = cand, e_cand, ll_cand
+            # step-halving: never accept a step that decreases the
+            # likelihood by more than that rounding error
+            for _ in range(20):
+                cand = beta + step
+                e_cand, ll_cand = _evaluate(cand, Xs, colmax)
+                if ll_cand >= ll - tol:
+                    break
+                step = step / 2.0
+            else:
+                # no checked step keeps the likelihood, so none is applied
+                iterations -= 1
+                break
+            beta, e, ll = cand, e_cand, ll_cand
         # the L2 norm, by np.linalg.norm's own formula
         if math.sqrt(beta @ beta) > SEPARATION_NORM:
             separated = True
+            break
+        if converged:
             break
     if separated:
         converged = False
@@ -293,11 +307,17 @@ def fit_glm(y, X, start=None) -> GlmFit:
     and gathers each design from that table, with the same bits.
 
     The fit takes Newton steps, the solution of ``gram @ step = score``
-    with ``gram = X' W X``, until the score max-norm drops below ``TOL``.
-    Each candidate evaluates one ``exp(-s*eta)``, s = 2y-1, from which
-    come its log-likelihood and, once it is accepted, the next score and
-    weights. The design's rows are multiplied by -s once, when it is
-    folded, so -s*eta, the score and the gram are one product each. -s*eta
+    with ``gram = X' W X``, until the score max-norm drops below ``TOL``
+    or a step's Newton decrement ``lam2 = score @ step`` predicts a gain
+    ``lam2 / 2`` of at most ``1e-12 * max(1, |ll|)``, the acceptance bound
+    below. Such a step is the last, and is taken without evaluating it:
+    the fit has converged, with the coefficients the evaluated step would
+    give, and reports ``ll + lam2 / 2``, the log-likelihood at them to
+    third order (within the bound). Every other candidate evaluates one
+    ``exp(-s*eta)``, s = 2y-1, from which come its log-likelihood and,
+    once it is accepted, the next score and weights. The design's rows
+    are multiplied by -s once, when it is folded, so -s*eta, the score
+    and the gram are one product each. -s*eta
     is clipped to [-500, 500] only when ``|beta| @ max|X_j|`` passes 499:
     below, the clip does not act. The weights are floored at 1e-10 on
     every pass. Fits equal a kernel's that forms s*eta and s*r and clips

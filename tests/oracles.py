@@ -7,10 +7,17 @@ adjustment set, so the weighting functional, the covariate-adjustment
 functional, and the brute-force interventional mean must all coincide;
 each is evaluated here by exact enumeration through a different route.
 
-``toy_dataset`` is a four-row hand-built Dataset for the data tests, and
+``g_statistic`` is the likelihood-ratio statistic of independence in a
+2x2 table, in closed form from its counts: the known answer of a logistic
+LRT of a 0/1 response on an intercept against one 0/1 regressor more.
+
+``toy_dataset`` is a four-row hand-built Dataset for the data tests,
+``same_columns`` compares two datasets' columns, and
 ``generate_example`` draws a small three-covariate example system for the
 search and condition tests.
 """
+
+import math
 
 import numpy as np
 
@@ -97,6 +104,19 @@ class DiscreteModel:
         return z, a, y, r
 
 
+def g_statistic(x, y) -> float:
+    """The G statistic 2 sum O log(O/E) of the 2x2 table of two 0/1
+    arrays, O a cell's count and E = row total * column total / n the
+    count independence predicts; an empty cell adds nothing."""
+    x, y = np.asarray(x) == 1.0, np.asarray(y) == 1.0
+    observed = np.array([[np.sum(~x & ~y), np.sum(~x & y)],
+                         [np.sum(x & ~y), np.sum(x & y)]], dtype=float)
+    expected = np.outer(observed.sum(axis=1),
+                        observed.sum(axis=0)) / observed.sum()
+    return 2.0 * math.fsum(o * math.log(o / e) for o, e in
+                           zip(observed.ravel(), expected.ravel()) if o > 0)
+
+
 def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.0),
                 w=((0.1, 1.0), (0.2, -1.0), (-0.4, 0.0), (1.5, 2.0))):
     """Small hand-built dataset with one missing outcome."""
@@ -108,6 +128,14 @@ def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.
                "W1": w[:, 0], "W2": w[:, 1]}
     roles = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
     return Dataset(columns, roles)
+
+
+def same_columns(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same column names and values, a NaN
+    equal to a NaN."""
+    return a.names == b.names and all(
+        np.array_equal(a.column(n), b.column(n), equal_nan=True)
+        for n in a.names)
 
 
 # ---------------------------------------------------------------------------

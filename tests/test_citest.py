@@ -9,7 +9,7 @@ from shadowipw.data import Dataset, RoleMap, subset_observed
 from shadowipw.search import LrtTester
 from shadowipw.simulate import default_config, generate
 
-from oracles import generate_example
+from oracles import g_statistic, generate_example
 
 ALPHA = 0.05
 Z_FULL = ("W2", "W3", "W4")
@@ -214,6 +214,28 @@ class TestPowerAtScale:
                                              ALPHA).passed
         for name, count in hits.items():
             assert count / self.REPS > 0.95, (name, count)
+
+
+class TestKnownAnswers:
+    """With a 0/1 tested variable, the LRT of R ~ 1 against R ~ 1 + x
+    compares a one-parameter model with the saturated model of the 2x2
+    table of x and R, so its statistic is the table's G statistic in
+    closed form. C1 tests the incentive so, and C3 at Z = () the witness.
+    The bound holds the log-likelihoods, sums over n rows, to a few
+    hundred times their rounding."""
+
+    @pytest.mark.parametrize("n", [200, 10_000])
+    def test_c1_and_c3_match_the_g_statistic(self, n):
+        for seed in range(20):
+            ds = generate(default_config(n=n, seed=seed))
+            incentive = (ds.column("I") > 0.0).astype(float)
+            witness = (ds.column("W1") > 0.5).astype(float)
+            ds = _replace_columns(ds, {"I": incentive, "W1": witness})
+            for record, x in ((citest.test_c1(ds, ALPHA), incentive),
+                              (citest.test_c3(ds, "W1", (), ALPHA), witness)):
+                g = g_statistic(x, ds.column("R"))
+                assert abs(record.result.statistic - g) <= \
+                    1e-10 * max(g, 1.0), (seed, record.condition)
 
 
 class TestRecordBehavior:

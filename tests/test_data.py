@@ -12,7 +12,7 @@ from shadowipw.data import (DataError, Dataset, RoleMap, load_csv,
                             subset_observed, write_csv)
 from shadowipw.simulate import default_config, generate
 
-from oracles import toy_dataset
+from oracles import same_columns, toy_dataset
 
 ROLES = RoleMap("A", "Y", "R", "I", ("W1", "W2"))
 
@@ -345,7 +345,7 @@ class TestSubsetObserved:
         ds = toy_dataset()
         once = subset_observed(ds)
         twice = subset_observed(once)
-        assert once.equals(twice)
+        assert same_columns(once, twice)
 
     def test_equals_the_mask_subset_oracle_columns_included(self):
         ds = generate(default_config(n=2000, seed=4))
@@ -356,7 +356,7 @@ class TestSubsetObserved:
         assert sub.roles == want.roles
         for name in ds.names:
             assert sub.column(name).tobytes() == want.column(name).tobytes()
-        assert subset_observed(sub).equals(sub)
+        assert same_columns(subset_observed(sub), sub)
 
     def test_empty_result_permitted_but_flagged(self):
         ds = toy_dataset(y=(np.nan, np.nan, np.nan, np.nan))

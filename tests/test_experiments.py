@@ -167,6 +167,22 @@ class TestDesignInputs:
         assert str(raised.value) == \
             f"jobs must be an integer >= 1, got {jobs!r}"
 
+    @pytest.mark.parametrize("run", [run_search_experiment,
+                                     run_estimation_experiment])
+    @pytest.mark.parametrize("trials", [0, 1.5, 2.0, True, "2", None],
+                             ids=repr)
+    def test_trials_refused(self, run, trials):
+        # a float used to reach range() as a TypeError, and True ran one
+        # trial per kind
+        with pytest.raises(ValueError) as raised:
+            run([200], trials, 0.05)
+        assert str(raised.value) == "trials must be >= 1"
+
+    def test_numpy_integer_trials_accepted(self):
+        report = run_search_experiment([300], np.int64(1), 0.05, seed=1,
+                                       oracle=True)
+        assert report.trials_positive == report.cell(300).tp == 1
+
     def test_numpy_integer_jobs_accepted(self):
         report = run_search_experiment([300], 1, 0.05, seed=1,
                                        jobs=np.int64(1), oracle=True)

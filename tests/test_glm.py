@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -213,9 +213,11 @@ class TestLogisticFit:
     def test_one_log_likelihood_per_iteration(self, monkeypatch):
         # the accepted candidate's log-likelihood is carried forward: a fit
         # whose full Newton steps are all kept evaluates it once at the
-        # start and once per iteration, whether or not its score and gram
-        # run in blocks. The blocked fit calls the kernel itself, as
-        # fit_glm would first fit a pilot of every PILOT_STRIDE-th row
+        # start and once per iteration but the last, which it takes
+        # unevaluated once the Newton decrement is below the acceptance
+        # tolerance, whether or not its score and gram run in blocks. The
+        # blocked fit calls the kernel itself, as fit_glm would first fit a
+        # pilot of every PILOT_STRIDE-th row
         calls = []
         original = glm._evaluate
 
@@ -234,7 +236,7 @@ class TestLogisticFit:
             calls.clear()
             fit = fit_glm(y, X) if n <= block_rows else zero_start_fit(y, X)
             assert fit.converged and fit.iterations >= 3
-            assert len(calls) == fit.iterations + 1
+            assert len(calls) == fit.iterations
 
     @pytest.mark.parametrize("seed, parent_ll", [(0, -38781.151851634815),
                                                  (17, -38384.73995507248)])
@@ -368,8 +370,9 @@ class TestBlockedFit:
         y, X, _ = block_case("regular", n)
         fit = fit_glm(y, X, start=np.zeros(3))
         assert fit.converged
-        # a score and a gram per iteration, and the converged pass's score
-        assert len(seen) == 2 * fit.iterations + 1
+        # a score and a gram per iteration; the last step is taken
+        # unevaluated, so no pass after it computes a score
+        assert len(seen) == 2 * fit.iterations
         assert all(sizes == blocks for sizes in seen)
 
 
@@ -377,7 +380,10 @@ def reference_fit(y, X, start=None):
     """fit_glm as its kernel read before the sign-folded design, statement
     for statement: the linear predictor eta is clipped to [-500, 500] and
     the weights floored at 1e-10 on every pass, and -s*eta and the residual
-    s*r are formed from s = 2y-1 on every pass. A fit over more than
+    s*r are formed from s = 2y-1 on every pass. A Newton step whose
+    decrement lam2 = score @ step is at most twice the acceptance
+    tolerance is taken unevaluated, with ll + lam2 / 2, and ends the fit
+    as converged, as in fit_glm. A fit over more than
     glm.BLOCK_ROWS rows sums its score and gram over the same equal blocks
     of rows. Returns what a GlmFit reports, the coefficients as bytes."""
     Xt = np.ascontiguousarray(X.T)
@@ -438,19 +444,27 @@ def _reference_logistic(y, Xt, start):
             sw = np.sqrt(w)
             z = eta + resid / w
             step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
-        floor = ll - 1e-12 * max(1.0, abs(ll))
-        for _ in range(20):
-            cand = beta + step
-            eta_cand, e_cand, ll_cand = evaluate(cand)
-            if ll_cand >= floor:
-                break
-            step = step / 2.0
+        tol = 1e-12 * max(1.0, abs(ll))
+        lam2 = float(score @ step)
+        if not rank_deficient and lam2 / 2.0 <= tol:
+            beta = beta + step
+            ll = ll + lam2 / 2.0
+            converged = True
         else:
-            iterations -= 1
-            break
-        beta, eta, e, ll = cand, eta_cand, e_cand, ll_cand
+            for _ in range(20):
+                cand = beta + step
+                eta_cand, e_cand, ll_cand = evaluate(cand)
+                if ll_cand >= ll - tol:
+                    break
+                step = step / 2.0
+            else:
+                iterations -= 1
+                break
+            beta, eta, e, ll = cand, eta_cand, e_cand, ll_cand
         if np.linalg.norm(beta) > glm.SEPARATION_NORM:
             separated = True
+            break
+        if converged:
             break
     if separated:
         converged = False
@@ -560,6 +574,44 @@ class TestSignFoldedKernel:
             got_e, got_ll = glm._evaluate(beta, Xt * (1.0 - 2.0 * y), colmax)
             assert got_e.tobytes() == e.tobytes()
             assert got_ll.hex() == (-float(np.sum(np.log1p(e)))).hex()
+
+
+class TestFinalStep:
+    """A Newton step whose decrement lam2 = score @ step predicts a gain
+    below the acceptance tolerance is taken without evaluating it, and the
+    fit reports ll + lam2 / 2. That must be the log-likelihood at the
+    returned coefficients, to within the tolerance."""
+
+    @given(st.integers(min_value=1, max_value=6),
+           st.integers(min_value=40, max_value=400),
+           st.sampled_from([0.1, 1.0, 10.0, 100.0]),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_reported_log_likelihood_is_the_returned_coefficients(
+            self, p, n, scale, warm, seed):
+        # a rank-deficient fit takes least-squares steps and no final step,
+        # and at scale 0.01 guard_case's intercept makes most responses
+        # constant, so neither case is drawn
+        rng = np.random.default_rng(seed)
+        y, X = guard_case("regular", n, p, scale, rng)
+        start = rng.uniform(-2.0, 2.0, size=p) / scale if warm else None
+        evaluated = []
+        original = glm._evaluate
+
+        def spy(beta, Xs, colmax):
+            evaluated.append(beta.tobytes())
+            return original(beta, Xs, colmax)
+
+        with mock.patch.object(glm, "_evaluate", spy):
+            fit = fit_glm(y, X, start=start)
+        # a fit that ends by the final step returns coefficients it never
+        # evaluated
+        assume(fit.converged and fit.coefficients.tobytes() not in evaluated)
+        folded = glm.fold(y, np.ascontiguousarray(X.T))
+        _, fresh = glm._evaluate(fit.coefficients, folded.Xs, folded.colmax)
+        assert abs(fit.log_likelihood - fresh) <= \
+            1e-12 * max(1.0, abs(fresh))
 
 
 class TestLapackCall:

@@ -132,3 +132,16 @@ def test_mismatch_message_names_keys_and_largest_difference():
     for path in ("report.a", "report.b[1]", "report.c", "report.d"):
         assert path in message
     assert "largest relative float difference 0.333" in message
+
+
+def test_regenerate_summary_gives_largest_differences_and_other_values():
+    from golden.regenerate import summary
+    old = json.dumps({"a": 1.0, "b": [0, 2.0, True], "c": "x", "e": 4})
+    new = json.dumps({"a": 1.5, "b": [0.0, 2.0, False], "d": "x", "e": 3})
+    assert summary(old, new) == [
+        "  3 numbers moved; largest absolute difference 1, "
+        "largest relative 0.333",
+        "  report.b[2]: True -> False",
+        "  report.c: 'x' -> '<absent>'",
+        "  report.d: '<absent>' -> 'x'"]
+    assert summary(old, old) == []
