@@ -138,12 +138,16 @@ def _check_design(sample_sizes, trials: int, alpha, jobs) -> tuple:
 
 
 def _run_jobs(fn, jobs_args, jobs: int):
-    if jobs <= 1:
+    # a pool starts all its workers at its first task: it gets no more
+    # workers than it has chunks of tasks, and one chunk runs here
+    chunk = 4
+    workers = min(jobs, -(-len(jobs_args) // chunk))
+    if workers <= 1:
         return [fn(a) for a in jobs_args]
     # imported here: loading the pool's module costs every CLI start
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, jobs_args, chunksize=4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs_args, chunksize=chunk))
 
 
 def run_search_experiment(sample_sizes, trials: int, alpha: float,
@@ -215,6 +219,7 @@ class EstimationExperimentReport:
     ground_truth: float
     alpha: float
     seed: int
+    h_mode: str
     rows: tuple[tuple, ...]   # (sample_size, trial, method, ace or "")
 
     def cell(self, sample_size: int, method: str) -> EstimationCell:
@@ -225,7 +230,7 @@ class EstimationExperimentReport:
 
     def to_dict(self) -> dict:
         return {"alpha": self.alpha, "seed": self.seed,
-                "ground_truth": self.ground_truth,
+                "h_mode": self.h_mode, "ground_truth": self.ground_truth,
                 "cells": [c.to_dict(self.ground_truth) for c in self.cells]}
 
     def rows_csv(self) -> str:
@@ -296,4 +301,4 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
             cells.append(EstimationCell(n, method, tuple(estimates),
                                         not_found))
     return EstimationExperimentReport(tuple(cells), truth, alpha, seed,
-                                      tuple(rows))
+                                      h_mode, tuple(rows))

@@ -211,7 +211,7 @@ def _fit_logistic(y, Xs, colmax, start):
     separated = y.min() == y.max()
     converged = False
     iterations = 0
-    for iterations in range(1, MAX_ITER + 1):
+    while iterations < MAX_ITER:
         # with q = 1/(1+e) the fitted probability of the observed response,
         # y - mu = s*e*q and mu*(1-mu) = e*q*q
         q = np.add(1.0, e)
@@ -222,14 +222,13 @@ def _fit_logistic(y, Xs, colmax, start):
         # the first pass always builds a Newton system, where a singular
         # design shows, even when a warm start begins at the optimum. The
         # p-length vectors are read as Python floats, with the same values
-        if iterations > 1 and max(map(abs, score.tolist())) < TOL:
+        if iterations and max(map(abs, score.tolist())) < TOL:
             converged = True
-            iterations -= 1
             break
         w = np.multiply(r, q)
         np.maximum(w, 1e-10, out=w)
         gram = _summed(lambda b: (Xs[:, b] * w[b]) @ Xs[:, b].T, y.size)
-        if iterations == 1:
+        if not iterations:
             # the design is rank deficient when the gram's smallest
             # eigenvalue is within the rounding error of its sums over rows
             eig = _lapack("eigvalsh_lo", gram).tolist()
@@ -267,9 +266,9 @@ def _fit_logistic(y, Xs, colmax, start):
                 step = step / 2.0
             else:
                 # no checked step keeps the likelihood, so none is applied
-                iterations -= 1
                 break
             beta, e, ll = cand, e_cand, ll_cand
+        iterations += 1
         # the L2 norm, by np.linalg.norm's own formula
         if math.sqrt(beta @ beta) > SEPARATION_NORM:
             separated = True

@@ -167,8 +167,9 @@ class _Moments:
             np.take(c, rows, out=self.Ht[j])
         self.Ut = self.Ht.copy()
         self.Ut[-1] = y_ref - ds.column(roles.outcome).take(rows)
+        # einsum, not @: a BLAS dot's bits move with its thread count
         missing = 1.0 - r
-        self.h_missing = np.array([missing @ c for c in h])
+        self.h_missing = np.array([np.einsum("i,i->", missing, c) for c in h])
         self.n = ds.n_rows
 
     def weights(self, theta) -> np.ndarray:
@@ -233,9 +234,8 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     stalled = False
     # the (k+1)-length vectors' norms are read as Python floats: the max
     # norm of their elements, and the L2 norm by np.linalg.norm's formula
-    for iterations in range(1, MAX_ITER + 1):
+    while iterations < MAX_ITER:
         if max(map(abs, res.tolist())) < TOL:
-            iterations -= 1
             break
         try:
             step = glm._lapack("solve1", moments.jacobian(w), -res)
@@ -252,14 +252,13 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
             with np.errstate(over="ignore"):
                 cand_norm = math.sqrt(cand_res @ cand_res)
             if cand_norm < norm0:
-                theta, w, res = cand, cand_w, cand_res
                 break
             step = step / 2.0
         else:
             stalled = True
             break
-    if stalled:   # the attempt that stalled applied no step
-        iterations -= 1
+        theta, w, res = cand, cand_w, cand_res
+        iterations += 1
 
     residual_norm = max(map(abs, res.tolist()))
     return ShadowPropensityModel(

@@ -1,0 +1,157 @@
+"""Digests of the program's numbers, to check that a change keeps them bit
+for bit.
+
+Run from the repository root, on the parent commit and on the change:
+
+    PYTHONPATH=src python tests/golden/fingerprint.py [--seeds 100]
+
+and compare the lines it prints. Each line is the SHA-256 digest of one
+part of the program's output, with counts that show what it covered:
+
+  search    ``find_adjustment_set`` on each scenario, at 10^4 rows and at
+            40 and 200 rows, where fits separate or are rank deficient:
+            each outcome's ``to_dict()`` and every fit in the search's
+            memo (its design, coefficient bytes, log-likelihood,
+            iterations and flags);
+  fits      ``fit_glm`` on random designs, some of them separated, with a
+            duplicated column or with a column scaled by 10^6, where fits
+            also reach ``glm.MAX_ITER``;
+  estimate  ``fit_and_weight`` in both h modes, at 2,000 and 20,000 rows,
+            on the correct adjustment set and on one stratum
+            (``tests/oracles.py:one_stratum_dataset``), where response
+            solves stall: the response model, the treatment fit and the
+            estimate;
+  generate  ``generate``'s columns on each scenario.
+
+Its name does not start with ``test_``, so pytest does not collect it.
+"""
+
+import argparse
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from oracles import one_stratum_dataset  # noqa: E402
+from shadowipw import estimate, glm, shadow  # noqa: E402
+from shadowipw.search import LrtTester, find_adjustment_set  # noqa: E402
+from shadowipw.simulate import (SCENARIOS, default_config,  # noqa: E402
+                                generate)
+
+CORRECT_SET = ("W2", "W3", "W4")
+
+
+def _update(digest, *values):
+    for value in values:
+        if isinstance(value, np.ndarray):
+            digest.update(np.ascontiguousarray(value, dtype=float).tobytes())
+        else:
+            digest.update(json.dumps(value, sort_keys=True).encode())
+
+
+def _fit(digest, fit: glm.GlmFit, counts):
+    _update(digest, fit.coefficients, fit.log_likelihood.hex(),
+            fit.iterations, fit.converged, fit.separated,
+            fit.rank_deficient)
+    counts["fits"] += 1
+    counts["not converged"] += not fit.converged
+    counts["separated"] += fit.separated
+    counts["rank deficient"] += fit.rank_deficient
+    # a fit that stopped where no halved step kept the likelihood
+    counts["stalled"] += (not fit.converged and not fit.separated
+                          and fit.iterations < glm.MAX_ITER)
+
+
+def searches(seeds: int):
+    digest, counts = hashlib.sha256(), dict.fromkeys(
+        ("searches", "fits", "not converged", "separated", "rank deficient",
+         "stalled"), 0)
+    for n, n_seeds in ((10_000, seeds), (40, seeds), (200, seeds)):
+        for scenario in SCENARIOS:
+            for seed in range(n_seeds):
+                ds = generate(default_config(n=n, seed=seed,
+                                             scenario=scenario))
+                tester = LrtTester(ds)
+                outcome = find_adjustment_set(ds, 0.05, tester=tester)
+                _update(digest, outcome.to_dict())
+                counts["searches"] += 1
+                for key, fit in tester._fits.items():
+                    if isinstance(fit, glm.GlmFit):
+                        _update(digest, repr(key))
+                        _fit(digest, fit, counts)
+    return digest, counts
+
+
+def fits(seeds: int):
+    digest, counts = hashlib.sha256(), dict.fromkeys(
+        ("fits", "not converged", "separated", "rank deficient", "stalled",
+         "at MAX_ITER"), 0)
+    rng = np.random.default_rng(0)
+    for _ in range(10 * seeds):
+        n, p = int(rng.integers(40, 400)), int(rng.integers(1, 7))
+        scale = float(rng.choice([0.01, 1.0, 100.0]))
+        X = glm.design_matrix(n, *(scale * rng.normal(size=(p - 1, n))))
+        beta = rng.uniform(-1.0, 1.0, size=p) / scale
+        y = (rng.uniform(size=n) < glm.expit(X @ beta)).astype(float)
+        case = rng.integers(4)
+        if case == 1 and p > 1:
+            y = (X[:, -1] > 0).astype(float)
+        elif case == 2 and p > 2:
+            X[:, -1] = X[:, 1]
+        elif case == 3 and p > 1:
+            X[:, -1] *= 1e6
+        fit = glm.fit_glm(y, X)
+        _fit(digest, fit, counts)
+        counts["at MAX_ITER"] += fit.iterations == glm.MAX_ITER
+    return digest, counts
+
+
+def estimates(seeds: int):
+    digest, counts = hashlib.sha256(), dict.fromkeys(
+        ("calls", "fits", "not converged", "separated", "rank deficient",
+         "stalled", "solves not converged", "solves stalled"), 0)
+    for n, n_seeds in ((2_000, seeds), (20_000, max(1, seeds // 10))):
+        for seed in range(n_seeds):
+            data = ((generate(default_config(n=n, seed=seed)), CORRECT_SET),
+                    (one_stratum_dataset(n, seed), ("C",)))
+            for ds, Z in data:
+                for h_mode in shadow.H_MODES:
+                    model, treat, est = estimate.fit_and_weight(ds, Z, h_mode)
+                    _update(digest, model.to_dict(), est.to_dict())
+                    _fit(digest, treat, counts)
+                    counts["calls"] += 1
+                    counts["solves not converged"] += not model.converged
+                    counts["solves stalled"] += model.used_fallback
+    return digest, counts
+
+
+def columns(seeds: int):
+    digest, counts = hashlib.sha256(), {"datasets": 0}
+    for scenario in SCENARIOS:
+        for seed in range(seeds):
+            ds = generate(default_config(n=2_000, seed=seed,
+                                         scenario=scenario))
+            for name in ds.names:
+                _update(digest, name, ds.column(name))
+            counts["datasets"] += 1
+    return digest, counts
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=100,
+                        help="seeds per scenario and size (default 100)")
+    args = parser.parse_args(argv)
+    for name, part in (("search", searches), ("fits", fits),
+                       ("estimate", estimates), ("generate", columns)):
+        digest, counts = part(args.seeds)
+        shown = ", ".join(f"{v} {k}" for k, v in counts.items())
+        print(f"{name:9s}{digest.hexdigest()}  ({shown})", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,11 @@ each is evaluated here by exact enumeration through a different route.
 2x2 table, in closed form from its counts: the known answer of a logistic
 LRT of a 0/1 response on an intercept against one 0/1 regressor more.
 
+``OneStratum`` is the known answer of the a_row response solve and of the
+double-IPW ACE when the only covariate is a constant column
+(``one_stratum_dataset``): the odds-ratio identification in closed form
+from the sample proportions of the observed data alone.
+
 ``toy_dataset`` is a four-row hand-built Dataset for the data tests,
 ``same_columns`` compares two datasets' columns, and
 ``generate_example`` draws a small three-covariate example system for the
@@ -21,12 +26,13 @@ import math
 
 import numpy as np
 
+from shadowipw import glm, shadow
 from shadowipw.data import Dataset, RoleMap
 from shadowipw.glm import expit
 from shadowipw.graphs import Dag
 from shadowipw.shadow import reconstruct_propensity_from_joint
 from shadowipw.simulate import _STREAM_A, _STREAM_I, _STREAM_R, _STREAM_Y, \
-    _rng
+    _rng, default_config, generate
 
 
 class DiscreteModel:
@@ -115,6 +121,80 @@ def g_statistic(x, y) -> float:
                         observed.sum(axis=0)) / observed.sum()
     return 2.0 * math.fsum(o * math.log(o / e) for o, e in
                            zip(observed.ravel(), expected.ravel()) if o > 0)
+
+
+def one_stratum_dataset(n: int, seed: int) -> Dataset:
+    """``generate``'s base-scenario draw with the covariates replaced by
+    one constant column C = 1: the response baseline is one intercept, and
+    the a_row equations (h = C and the treatment) are just-identified."""
+    ds = generate(default_config(n=n, seed=seed))
+    columns = {name: ds.column(name) for name in ("A", "Y", "R", "I")}
+    columns["C"] = np.ones(n)
+    return Dataset(columns, RoleMap("A", "Y", "R", "I", ("C",)))
+
+
+class OneStratum:
+    """The response propensity and the ACE of a ``one_stratum_dataset``, in
+    closed form (Wang, Shao & Kim 2014; Miao & Tchetgen Tchetgen 2016).
+
+    With p(.) the sample proportions over all n rows, the shadow
+    assumption (A independent of R given Y) gives
+    p(A=1, R=0) = a1 q1 + a0 (p(R=0) - q1), a_y = p(A=1 | Y=y, R=1), for
+    q1 = p(Y=1, R=0), and q0 = p(R=0) - q1. The odds of non-response given
+    Y = y are w_y = q_y / p(Y=y, R=1), so beta = -log w0 and
+    gamma = log w1 - log w0 (nan when q1 <= 0: no propensity exists, and
+    the solve can at best reach w1 = 0, where its residual max-norm is
+    -q1). ``bounds`` bound how far a solve whose residual max-norm is
+    below ``shadow.TOL`` can lie from (beta, gamma): the sum of row i of
+    |J^-1| times ``TOL``, J the residuals' Jacobian at the root, plus 1e-12
+    for rounding. ``ace(lo, hi)`` is the double-IPW ACE with the propensities
+    clipped into [lo, hi], and ``ace_bound`` the bound its value takes
+    from ``bounds`` and from a treatment fit on the intercept alone whose
+    score is below ``glm.TOL`` (its p(A=1) within TOL / n)."""
+
+    def __init__(self, ds: Dataset):
+        r = ds.column("R") == 1.0
+        a = ds.column("A") == 1.0
+        y = ds.column("Y") == 1.0   # NaN, a missing outcome, is not 1
+        self.n = n = r.size
+        # p(Y=y, R=1) and p(A=1, Y=y, R=1), y = 0, 1
+        p_y = [np.sum(r & ~y) / n, np.sum(r & y) / n]
+        p_ay = [np.sum(r & ~y & a) / n, np.sum(r & y & a) / n]
+        a0, a1 = p_ay[0] / p_y[0], p_ay[1] / p_y[1]
+        p_r0, p_a1r0 = np.sum(~r) / n, np.sum(a & ~r) / n
+        self.q1 = q1 = (p_a1r0 - a0 * p_r0) / (a1 - a0)
+        q0 = p_r0 - q1
+        w0, w1 = q0 / p_y[0], q1 / p_y[1]
+        self.beta = -math.log(w0) if w0 > 0 else math.nan
+        self.gamma = (math.log(w1) - math.log(w0) if min(w0, w1) > 0
+                      else math.nan)
+        # d(residuals)/d(beta, gamma): dw_y/dbeta = -w_y, dw1/dgamma = w1
+        self.jacobian = np.array([[-p_r0, q1], [-p_a1r0, a1 * q1]])
+        self.bounds = (np.abs(np.linalg.inv(self.jacobian)).sum(axis=1)
+                       * shadow.TOL + 1e-12)
+        self.p_r1 = p_y[1] / (p_y[1] + q1)   # p(R=1 | Y=1)
+        self.p_a = np.mean(a)
+        # p(R=1, A=arm, Y=1), arm = 1, 0
+        self._treated = np.sum(r & a & y) / n
+        self._control = np.sum(r & ~a & y) / n
+
+    def ace(self, lo: float, hi: float) -> float:
+        p_r1, p_a1, p_a0 = (min(hi, max(lo, p)) for p in
+                            (self.p_r1, self.p_a, 1.0 - self.p_a))
+        return (self._treated / p_a1 - self._control / p_a0) / p_r1
+
+    def ace_bound(self, lo: float, hi: float) -> float:
+        # dACE/du1 = -ACE (1 - p1), u1 = beta - gamma the logit of
+        # p1 = p(R=1 | Y=1), unless p1 is clipped, and |du1| is at most the
+        # sum of the bounds; dACE/dp(A=1) is
+        # -(treated / p_a^2 + control / (1 - p_a)^2) / p1
+        p_r1 = min(hi, max(lo, self.p_r1))
+        from_solve = (abs(self.ace(lo, hi)) * (1.0 - p_r1)
+                      * float(self.bounds.sum()) if p_r1 == self.p_r1
+                      else 0.0)
+        from_treat = (self._treated / self.p_a ** 2
+                      + self._control / (1.0 - self.p_a) ** 2) / p_r1
+        return from_solve + from_treat * glm.TOL / self.n + 1e-12
 
 
 def toy_dataset(y=(1.0, np.nan, 0.0, 1.0), a=(1, 0, 1, 0), i=(0.3, -1.2, 0.5, 2.0),

@@ -410,6 +410,19 @@ class TestExperimentCommands:
         assert summary["cells"][0]["method"] == "oracle_search"
         assert (out_dir / "estimate_trials.csv").exists()
 
+    @pytest.mark.parametrize("h_mode", ["a_mean", "a_row"])
+    def test_estimate_experiment_summary_names_its_h_mode(self, runner,
+                                                          h_mode):
+        result = runner.invoke(main, [
+            "experiment", "estimate", "--n-grid", "300", "--trials", "1",
+            "--methods", "wrong_adjustment", "--h-mode", h_mode,
+            "--jobs", "1"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.stdout)
+        assert sorted(summary) == ["alpha", "cells", "command",
+                                   "ground_truth", "h_mode", "seed"]
+        assert summary["h_mode"] == h_mode
+
 
 class TestLibraryErrors:
     """An input, fit or solve error the library raises ends any command

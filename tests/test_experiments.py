@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import numpy as np
@@ -128,9 +129,55 @@ class TestEstimationExperiment:
                                            seed=10)
         d = report.to_dict()
         assert d["ground_truth"] == report.ground_truth
+        assert d["h_mode"] == report.h_mode == "a_mean"
         assert d["cells"][0]["method"] == METHOD_ORACLE_SEARCH
         lines = report.rows_csv().strip().splitlines()
         assert lines[0] == "sample_size,trial,method,ace"
+
+
+class TestWorkers:
+    """An experiment starts no more workers than it has chunks of trials
+    (4 trials a chunk): a pool starts all its workers at the first submit.
+    One chunk runs in this process. A stand-in for the pool records its
+    worker count and maps in this process, so no process starts."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        return made
+
+    @pytest.mark.parametrize("trials, jobs, workers", [
+        (1, 64, []), (2, 64, []), (3, 64, [2]), (5, 64, [3]), (40, 64, [20]),
+        (40, 2, [2]), (5, 1, [])])
+    def test_search_workers_capped_at_chunks(self, pools, trials, jobs,
+                                             workers):
+        # 2 * trials tasks, a positive and a negative one per trial
+        report = run_search_experiment([100], trials, 0.05, jobs=jobs,
+                                       oracle=True)
+        assert pools == workers
+        assert report == run_search_experiment([100], trials, 0.05,
+                                               oracle=True)
+
+    def test_estimation_workers_capped_per_size(self, pools):
+        run_estimation_experiment([200, 300], 5, 0.05, jobs=64,
+                                  methods=(METHOD_IGNORE_MISSINGNESS,))
+        assert pools == [2, 2]
 
 
 class TestAlpha:

@@ -10,7 +10,10 @@ relative difference among their floats, so a last-bit move shows apart
 from a verdict change.
 
 The bytes depend on NumPy and on the BLAS kernel, since a GEMM's summation
-order can differ between builds and CPUs. The files were made with NumPy
+order can differ between builds and CPUs, but not on the BLAS thread count:
+the one sum whose bits moved with it, the response solve's sum over the
+non-respondents, calls no BLAS, and a test below runs one report on one
+BLAS thread and on two. The files were made with NumPy
 2.4.6 and its bundled scipy-openblas 0.3.31 (DYNAMIC_ARCH, x86-64 with
 AVX-512), Python 3.11. To rewrite them on purpose, run
 
@@ -23,11 +26,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import shadowipw
 from shadowipw.cli import EXIT_C1_FAILED, EXIT_NOT_FOUND, EXIT_OK, main
 from shadowipw.data import write_csv
 from shadowipw.simulate import default_config, generate, roles_for
@@ -63,15 +70,20 @@ def write_datasets(directory: Path) -> None:
         write_csv(generate(config), directory / name)
 
 
-def run_case(case: str) -> str:
-    """The report of ``case``, run in the current directory, which holds
-    the datasets."""
+def case_args(case: str) -> list[str]:
+    """The command line of ``case``, after the program's name."""
     command, data, extra = CASES[case]
     roles = roles_for(default_config(scenario=DATASETS[data][0]))
     flags = ["--treatment", roles.treatment, "--outcome", roles.outcome,
              "--response", roles.response, "--incentive", roles.incentive,
              "--covariates", ",".join(roles.covariates)]
-    result = CliRunner().invoke(main, [command, data, *flags, *extra])
+    return [command, data, *flags, *extra]
+
+
+def run_case(case: str) -> str:
+    """The report of ``case``, run in the current directory, which holds
+    the datasets."""
+    result = CliRunner().invoke(main, case_args(case))
     assert result.exit_code in (EXIT_OK, EXIT_C1_FAILED, EXIT_NOT_FOUND), \
         result.output
     return result.stdout
@@ -122,6 +134,28 @@ def test_report_matches_golden(case, data_dir, monkeypatch):
     actual = run_case(case)
     expected = (GOLDEN / f"{case}.json").read_text()
     assert actual == expected, mismatch_message(case, expected, actual)
+
+
+def test_report_does_not_depend_on_blas_thread_count(data_dir):
+    # OpenBLAS splits a product of more than 10^4 elements across its
+    # threads, which changes its rounding; a 10^5-row estimate, run in a
+    # fresh process with one BLAS thread and then two, gives the same bytes
+    case = "estimate_base_large"
+    path = os.pathsep.join([str(Path(shadowipw.__file__).parents[1]),
+                            os.environ.get("PYTHONPATH", "")])
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, **dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"),
+            threads)}
+        done = subprocess.run(
+            [sys.executable, "-m", "shadowipw.cli", *case_args(case)],
+            cwd=data_dir, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == EXIT_OK, done.stderr
+        reports.append(done.stdout)
+    assert reports[0] == reports[1], \
+        mismatch_message(case, reports[0], reports[1])
 
 
 def test_mismatch_message_names_keys_and_largest_difference():

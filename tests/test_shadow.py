@@ -17,6 +17,8 @@ from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
                               solve_propensity)
 from shadowipw.simulate import default_config, generate
 
+from oracles import OneStratum, one_stratum_dataset
+
 
 def model(beta, gamma, y_ref=0.0, names=None):
     beta = np.asarray(beta, dtype=float)
@@ -500,6 +502,53 @@ class TestSolvePropensity:
         assert d["converged"] is True
         assert d["adjustment"] == ["Z1"]
         assert len(d["beta"]) == 1
+
+
+class TestOneStratum:
+    """The a_row solve and the ACE against their closed form on one
+    stratum (``tests/oracles.py:OneStratum``)."""
+
+    @pytest.mark.parametrize("n, seed", [(2000, 1), (2000, 2), (2000, 5),
+                                         (2000, 10), (100_000, 1),
+                                         (100_000, 2)])
+    def test_a_row_solve_is_the_closed_form(self, n, seed):
+        ds = one_stratum_dataset(n, seed)
+        exact = OneStratum(ds)
+        assert exact.q1 > 0   # a root exists
+        fit = solve_propensity(ds, ("C",), H_MODE_A_ROW)
+        assert fit.converged and not fit.used_fallback
+        assert abs(fit.beta[0] - exact.beta) <= exact.bounds[0]
+        assert abs(fit.gamma - exact.gamma) <= exact.bounds[1]
+
+    @pytest.mark.parametrize("n, seed", [(2000, 0), (2000, 1), (2000, 2),
+                                         (10_000, 1), (10_000, 4)])
+    def test_ace_is_the_closed_form(self, n, seed):
+        # seed 0 at 2,000 rows clips p(R=1 | Y=1) at 0.99
+        ds = one_stratum_dataset(n, seed)
+        exact = OneStratum(ds)
+        model, treat, est = fit_and_weight(ds, ("C",), H_MODE_A_ROW)
+        assert model.converged and treat.converged
+        assert abs(est.ace - exact.ace(0.01, 0.99)) <= \
+            exact.ace_bound(0.01, 0.99)
+
+    def test_no_root_stalls_at_w1_zero(self, monkeypatch):
+        # q1 < 0: no propensity fits. The solve drives the odds of
+        # non-response given Y = 1 to 0, the nearest it can come, where
+        # the residual max-norm is -q1, and stalls there
+        ds = one_stratum_dataset(2000, 3)
+        exact = OneStratum(ds)
+        assert exact.q1 == pytest.approx(-0.013762852424489, abs=1e-14)
+        jacobians = []
+        jacobian = shadow._Moments.jacobian
+        monkeypatch.setattr(shadow._Moments, "jacobian", lambda self, w:
+                            jacobians.append(w) or jacobian(self, w))
+        fit = solve_propensity(ds, ("C",), H_MODE_A_ROW)
+        assert (fit.converged, fit.used_fallback) == (False, True)
+        assert abs(fit.residual_norm + exact.q1) <= 1e-12
+        assert or_propensity(1.0, [1.0], fit) == 1.0 - np.finfo(float).epsneg
+        # every Newton pass builds one Jacobian; the pass that stalled
+        # applied no step
+        assert fit.iterations == len(jacobians) - 1
 
 
 class TestHMode:
