@@ -8,8 +8,8 @@ data the response model is degenerate, p = 1 exactly, and is not clipped.
 ``fit_and_weight`` runs the whole estimator: it solves the response
 propensity, fits the treatment propensity and weights. Two deliberately
 biased baselines are provided for comparison experiments: complete-case
-IPW that ignores the missingness mechanism, and ``fit_and_weight`` on a
-deliberately insufficient adjustment set.
+IPW, the estimator's weighting with a response weight of 1 over the
+observed-outcome rows, and ``fit_and_weight`` on an insufficient set.
 """
 
 from __future__ import annotations
@@ -69,17 +69,25 @@ def fit_treatment_propensity(ds: Dataset, Z) -> GlmFit:
     return fit_glm(a, X)
 
 
-def _arm_means(p1, a, y, p_r, lo, hi, n):
-    """Per-arm sums of y / (p_r * p(A=arm)) over the rows given, divided by
-    n, with p(A=1) = p1 clipped into [lo, hi]; and the number of rows whose
-    treatment weight was clipped."""
-    means, n_clipped = {}, 0
+def _weigh(ds, rows, Z, shadow, treat, clip_bounds):
+    """Per-arm sums of y / (p_r * p(A=arm)) over ds's given rows, divided by
+    ds.n_rows, with p_r and p(A=1) clipped into clip_bounds, and the count of
+    clipped weights. A degenerate model's p_r is 1, not computed or clipped."""
+    lo, hi = clip_bounds
+    a = ds.column(ds.roles.treatment)[rows]
+    y = ds.column(ds.roles.outcome)[rows]
+    X = design_matrix(a.size, *(ds.column(z)[rows] for z in Z))
+    p_r = 1.0 if shadow.degenerate else or_propensity(y, X[:, 1:], shadow)
+    p_r_clipped = p_r if shadow.degenerate else clip(p_r, lo, hi)
+    n_clipped = int(np.sum(p_r != p_r_clipped))
+    p1 = treat.predict_proba(X)
+    means = {}
     for arm in (1, 0):
         p_a = p1 if arm == 1 else 1.0 - p1
         p_a_clipped = clip(p_a, lo, hi)
         n_clipped += int(np.sum((p_a != p_a_clipped) & (a == arm)))
-        term = np.where(a == arm, y / (p_r * p_a_clipped), 0.0)
-        means[arm] = float(np.sum(term) / n)
+        term = np.where(a == arm, y / (p_r_clipped * p_a_clipped), 0.0)
+        means[arm] = float(np.sum(term) / ds.n_rows)
     return means, n_clipped
 
 
@@ -87,29 +95,20 @@ def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
             clip_bounds=DEFAULT_CLIP, method: str = METHOD_FULL
             ) -> AceEstimate:
     """Double inverse-probability-weighted ACE over treatment arms 1 and 0."""
-    lo, hi = clip_bounds
-    roles = ds.roles
     Z = tuple(Z)
-    roles.check_adjustment(Z)
+    ds.roles.check_adjustment(Z)
     if Z != tuple(shadow.adjustment):
         raise ValueError(f"adjustment set {Z} does not match the fitted "
                          f"response-propensity model {shadow.adjustment}")
-    n = ds.n_rows
+    if treat.coefficients.shape != (1 + len(Z),):
+        raise ValueError(f"adjustment set {Z} does not match the treatment "
+                         f"fit's {treat.coefficients.size} coefficients")
     rows = respondent_rows(ds)
-    a = ds.column(roles.treatment).take(rows)
-    y = ds.column(roles.outcome).take(rows)
-    X = design_matrix(rows.size, *(ds.column(z).take(rows) for z in Z))
-
-    p_r = np.atleast_1d(or_propensity(y, X[:, 1:], shadow))
-    p_r_clipped = p_r if shadow.degenerate else clip(p_r, lo, hi)
-    means, n_clipped = _arm_means(treat.predict_proba(X), a, y,
-                                  p_r_clipped, lo, hi, n)
-    n_clipped += int(np.sum(p_r != p_r_clipped))
-    n_weights = 2 * p_r.size   # a response and a treatment weight per row
-
+    means, n_clipped = _weigh(ds, rows, Z, shadow, treat, clip_bounds)
+    n_weights = 2 * rows.size   # a response and a treatment weight per row
     return AceEstimate(
         mean_treated=means[1], mean_control=means[0],
-        ace=means[1] - means[0], n=n, n_observed=rows.size,
+        ace=means[1] - means[0], n=ds.n_rows, n_observed=rows.size,
         clipped_fraction=(n_clipped / n_weights if n_weights else 0.0),
         method=method)
 
@@ -128,21 +127,17 @@ def fit_and_weight(ds: Dataset, Z, h_mode: str = shadow_module.H_MODE_A_MEAN,
 
 def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
                                 ) -> AceEstimate:
-    """Complete-case IPW with treatment weights only: subset to observed
-    outcomes and ignore the missingness mechanism entirely."""
-    lo, hi = clip_bounds
+    """Complete-case IPW: the estimator's weighting with a response weight
+    of 1 over the observed-outcome rows, with a treatment fit on them."""
     obs = subset_observed(ds)
-    roles = obs.roles
-    n = obs.n_rows
-    a = obs.column(roles.treatment)
-    y = obs.column(roles.outcome)
     treat = fit_treatment_propensity(obs, Z)
-    X = design_matrix(n, *(obs.column(z) for z in Z))
-    means, n_clipped = _arm_means(treat.predict_proba(X), a, y, 1.0, lo, hi, n)
+    means, n_clipped = _weigh(obs, slice(None), Z,
+                              ShadowPropensityModel.trivial(Z), treat,
+                              clip_bounds)
     return AceEstimate(
         mean_treated=means[1], mean_control=means[0],
-        ace=means[1] - means[0], n=ds.n_rows, n_observed=n,
-        clipped_fraction=(n_clipped / n if n else 0.0),
+        ace=means[1] - means[0], n=ds.n_rows, n_observed=obs.n_rows,
+        clipped_fraction=(n_clipped / obs.n_rows if obs.n_rows else 0.0),
         method=METHOD_IGNORE_MISSINGNESS)
 
 

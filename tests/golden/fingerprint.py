@@ -17,10 +17,15 @@ part of the program's output, with counts that show what it covered:
             duplicated column or with a column scaled by 10^6, where fits
             also reach ``glm.MAX_ITER``;
   estimate  ``fit_and_weight`` in both h modes, at 2,000 and 20,000 rows,
-            on the correct adjustment set and on one stratum
+            on the correct adjustment set, on one stratum
             (``tests/oracles.py:one_stratum_dataset``), where response
-            solves stall: the response model, the treatment fit and the
-            estimate;
+            solves stall, and on the correct set with every outcome
+            observed, where the response model is degenerate: the response
+            model, the treatment fit and the estimate, and ``ipw_ace`` on
+            those models at clip bounds (0.1, 0.9); there also
+            ``baseline_ignore_missingness`` at the default bounds and at
+            (0.1, 0.9), and ``baseline_wrong_adjustment`` in both h modes
+            where the data hold its set;
   generate  ``generate``'s columns on each scenario.
 
 Its name does not start with ``test_``, so pytest does not collect it.
@@ -30,19 +35,21 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from oracles import one_stratum_dataset  # noqa: E402
+from oracles import all_observed, one_stratum_dataset  # noqa: E402
 from shadowipw import estimate, glm, shadow  # noqa: E402
 from shadowipw.search import LrtTester, find_adjustment_set  # noqa: E402
 from shadowipw.simulate import (SCENARIOS, default_config,  # noqa: E402
                                 generate)
 
 CORRECT_SET = ("W2", "W3", "W4")
+OTHER_CLIP = (0.1, 0.9)
 
 
 def _update(digest, *values):
@@ -112,20 +119,39 @@ def fits(seeds: int):
 
 def estimates(seeds: int):
     digest, counts = hashlib.sha256(), dict.fromkeys(
-        ("calls", "fits", "not converged", "separated", "rank deficient",
-         "stalled", "solves not converged", "solves stalled"), 0)
+        ("calls", "baselines", "fits", "not converged", "separated",
+         "rank deficient", "stalled", "solves not converged",
+         "solves stalled", "degenerate"), 0)
     for n, n_seeds in ((2_000, seeds), (20_000, max(1, seeds // 10))):
         for seed in range(n_seeds):
-            data = ((generate(default_config(n=n, seed=seed)), CORRECT_SET),
-                    (one_stratum_dataset(n, seed), ("C",)))
+            ds = generate(default_config(n=n, seed=seed))
+            data = ((ds, CORRECT_SET), (one_stratum_dataset(n, seed), ("C",)),
+                    (all_observed(ds), CORRECT_SET))
             for ds, Z in data:
+                wrong_set = "W2" in ds.roles.covariates
                 for h_mode in shadow.H_MODES:
-                    model, treat, est = estimate.fit_and_weight(ds, Z, h_mode)
-                    _update(digest, model.to_dict(), est.to_dict())
+                    with warnings.catch_warnings():
+                        # a solve on fully observed data says so
+                        warnings.simplefilter("ignore", UserWarning)
+                        model, treat, est = estimate.fit_and_weight(
+                            ds, Z, h_mode)
+                        wrong = (estimate.baseline_wrong_adjustment(
+                            ds, h_mode=h_mode) if wrong_set else None)
+                    other = estimate.ipw_ace(ds, Z, model, treat, OTHER_CLIP)
+                    _update(digest, model.to_dict(), est.to_dict(),
+                            other.to_dict())
                     _fit(digest, treat, counts)
-                    counts["calls"] += 1
+                    counts["calls"] += 2
                     counts["solves not converged"] += not model.converged
                     counts["solves stalled"] += model.used_fallback
+                    counts["degenerate"] += model.degenerate
+                    if wrong is not None:
+                        _update(digest, wrong.to_dict())
+                        counts["baselines"] += 1
+                for bounds in (estimate.DEFAULT_CLIP, OTHER_CLIP):
+                    _update(digest, estimate.baseline_ignore_missingness(
+                        ds, Z, bounds).to_dict())
+                    counts["baselines"] += 1
     return digest, counts
 
 

@@ -17,7 +17,8 @@ double-IPW ACE when the only covariate is a constant column
 from the sample proportions of the observed data alone.
 
 ``toy_dataset`` is a four-row hand-built Dataset for the data tests,
-``same_columns`` compares two datasets' columns, and
+``same_columns`` compares two datasets' columns, ``all_observed`` puts
+the oracle's complete outcome in place of a draw's observed one, and
 ``generate_example`` draws a small three-covariate example system for the
 search and condition tests.
 """
@@ -121,6 +122,14 @@ def g_statistic(x, y) -> float:
                         observed.sum(axis=0)) / observed.sum()
     return 2.0 * math.fsum(o * math.log(o / e) for o, e in
                            zip(observed.ravel(), expected.ravel()) if o > 0)
+
+
+def all_observed(ds: Dataset) -> Dataset:
+    """``generate``'s draw ds with every outcome observed: the oracle's
+    complete outcome as Y, and R = 1 on every row."""
+    columns = {name: ds.column(name) for name in ds.names}
+    columns["Y"], columns["R"] = columns["Y_complete"], np.ones(ds.n_rows)
+    return Dataset(columns, ds.roles, ds.oracle_names)
 
 
 def one_stratum_dataset(n: int, seed: int) -> Dataset:

@@ -269,6 +269,14 @@ class TestRecordBehavior:
                            match="adjustment column 'W2' appears more"):
             test(base_ds_small, *args, ("W2", "W3", "W2"), ALPHA)
 
+    @pytest.mark.parametrize("condition, W, message", [
+        ("C1", "W1", "condition C1 takes no witness, got 'W1'"),
+        ("C3", None, "condition C3 takes a witness, got None")])
+    def test_witness_matches_the_condition(self, base_ds_small, condition, W,
+                                           message):
+        with pytest.raises(ValueError, match=message):
+            citest.run_condition(condition, base_ds_small, W, Z_FULL, ALPHA)
+
     def test_serialization_round_trip_keys(self, base_ds_small):
         record = citest.test_c1(base_ds_small, ALPHA)
         d = record.to_dict()

@@ -512,8 +512,9 @@ class TestArgumentChecks:
     """Every command rejects a test level outside (0, 1), clip bounds
     outside 0 < lo < hi < 1, a negative or fractional subset size and an
     unknown h mode before doing any work, and a trial count below 1, an
-    empty grid or method list, a size below 1 or a repeated size or method
-    ends in an error message rather than a traceback."""
+    empty grid or method list, a size that is not an integer or is below 1,
+    a repeated size or method and a config file that does not hold a JSON
+    object end in an error message rather than a traceback."""
 
     @pytest.mark.parametrize("command", ["search", "pipeline"])
     @pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
@@ -584,6 +585,9 @@ class TestArgumentChecks:
          "methods must be distinct"),
         ("estimate", ["--n-grid", "200", "--methods", ","],
          "no methods given"),
+        ("search", ["--n-grid", "1e3"], "bad sample-size grid '1e3'"),
+        ("estimate", ["--n-grid", "200,2.5"],
+         "bad sample-size grid '200,2.5'"),
     ])
     def test_experiments_reject_degenerate_design(self, tmp_path, runner,
                                                   experiment, args, message):
@@ -617,6 +621,20 @@ class TestArgumentChecks:
         assert result.exit_code == 1
         assert message in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"alpha": ', "config file {}: Expecting value"),
+        ("[0.05]", "config file {} must hold an object")])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, runner,
+                                                 text, message):
+        csv = tmp_path / "t.csv"
+        csv.write_text("x\n1\n")
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        result = runner.invoke(main, ["search", str(csv), *ROLE_FLAGS,
+                                      "--config", str(config)])
+        assert result.exit_code == 1
+        assert message.format(config) in result.output
 
     @pytest.mark.parametrize("command,setting,key", [
         ("search", {"alpha": 0.05, "alhpa": 0.5}, "'alhpa'"),

@@ -86,6 +86,20 @@ class TestLoadCsv:
         write_csv(load_csv(first, ds.roles), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_empty_file_refused(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(DataError) as raised:
+            load_csv(path, ROLES)
+        assert str(raised.value) == \
+            f"{path} is empty; a header row is required"
+
+    def test_duplicate_header_refused(self, tmp_path):
+        path = write(tmp_path, "A,Y,I,W1,W2,W1\n1,1,0.5,0.1,0.2,0.3\n")
+        with pytest.raises(DataError) as raised:
+            load_csv(path, ROLES)
+        assert str(raised.value) == \
+            f"{path} header contains duplicate column names"
+
 
 ROWS = "1,1,0.5,0.1,0.2\n0,,1.5,0.3,0.4\n"
 ROWS_LOADED = {"A": [1.0, 0.0], "Y": [1.0, np.nan], "I": [0.5, 1.5],
@@ -289,6 +303,22 @@ class TestDatasetValidation:
         del cols["W2"]
         with pytest.raises(DataError, match="unknown column 'W2'"):
             Dataset(cols, ROLES)
+
+    def test_two_dimensional_column_rejected(self):
+        with pytest.raises(DataError,
+                           match="column 'W1' is not 1-dimensional"):
+            Dataset(toy_columns(W1=[[1.0, 2.0], [3.0, 4.0]]), ROLES)
+
+    def test_unknown_column_name_refused(self):
+        with pytest.raises(DataError, match="unknown column 'W9'"):
+            toy_dataset().column("W9")
+
+    def test_role_map_missing_key_named(self):
+        d = ROLES.to_dict()
+        del d["incentive"]
+        with pytest.raises(DataError,
+                           match="role map is missing key 'incentive'"):
+            RoleMap.from_dict(d)
 
     def test_other_columns_may_hold_any_number(self):
         ds = Dataset(toy_columns(X=[0.5, 2.0, -3.0, 1.0]), ROLES)

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw.data import DataError, Dataset, RoleMap
-from shadowipw.estimate import (METHOD_IGNORE_MISSINGNESS,
+from shadowipw.data import DataError, Dataset, RoleMap, subset_observed
+from shadowipw.estimate import (DEFAULT_CLIP, METHOD_IGNORE_MISSINGNESS,
                                 METHOD_WRONG_ADJUSTMENT,
                                 baseline_ignore_missingness,
                                 baseline_wrong_adjustment, clip,
                                 fit_and_weight, fit_treatment_propensity,
                                 ipw_ace)
 from shadowipw.glm import GlmFit, design_matrix, fit_glm
-from shadowipw.shadow import ShadowPropensityModel
+from shadowipw.shadow import ShadowPropensityModel, solve_propensity
 from shadowipw.simulate import default_config, generate
 
-from oracles import DiscreteModel
+from oracles import DiscreteModel, all_observed
 
 WIDE_CLIP = (1e-6, 1.0 - 1e-12)
 CORRECT_SET = ("W2", "W3", "W4")
@@ -230,10 +230,7 @@ class TestIpwAce:
 
     def test_fully_observed_data_is_treatment_only_ipw(self):
         # the degenerate response model's p = 1 enters unclipped
-        ds = generate(default_config(n=20000, seed=3))
-        cols = {n: ds.column(n) for n in ds.names}
-        cols["Y"], cols["R"] = cols["Y_complete"], np.ones(ds.n_rows)
-        full = Dataset(cols, ds.roles, ds.oracle_names)
+        full = all_observed(generate(default_config(n=20000, seed=3)))
         with pytest.warns(UserWarning, match="all outcomes observed"):
             model, treat, est = fit_and_weight(full, CORRECT_SET)
         assert model.degenerate
@@ -254,6 +251,17 @@ class TestIpwAce:
         treat = oracle_treatment_fit(ds.n_rows, 0.0, 0.0)
         with pytest.raises(ValueError, match="does not match"):
             ipw_ace(ds, ("W2",), trivial, treat)
+
+    @pytest.mark.parametrize("Z, Z_treat", [
+        (CORRECT_SET, ("W2",)), (("W2",), ("W1", "W2", "W3", "W4"))])
+    def test_treatment_fit_of_another_set_rejected(self, base_ds_small, Z,
+                                                   Z_treat):
+        model = solve_propensity(base_ds_small, Z)
+        treat = fit_treatment_propensity(base_ds_small, Z_treat)
+        message = (f"adjustment set {Z} does not match the treatment fit's "
+                   f"{1 + len(Z_treat)} coefficients")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ipw_ace(base_ds_small, Z, model, treat)
 
 
 class TestBaselines:
@@ -300,6 +308,26 @@ class TestBaselines:
         full = ipw_ace(ds, Z, model, treat)
         wrong = baseline_wrong_adjustment(ds)
         assert wrong.ace == pytest.approx(full.ace, rel=1e-12)
+
+    @pytest.mark.parametrize("seed, n, Z, clip_bounds", [
+        (3, 10000, CORRECT_SET, DEFAULT_CLIP),
+        (0, 2000, (), DEFAULT_CLIP),
+        (1, 2000, ("W2",), (0.1, 0.9)),
+        (2, 2000, ("W1", "W2", "W3", "W4"), (0.1, 0.9)),
+        (4, 300, CORRECT_SET, (1e-6, 1.0 - 1e-6))])
+    @pytest.mark.parametrize("observed", ["missing", "all"])
+    def test_complete_case_is_ipw_ace_with_response_weight_one(
+            self, seed, n, Z, clip_bounds, observed):
+        ds = generate(default_config(n=n, seed=seed))
+        if observed == "all":
+            ds = all_observed(ds)
+        obs = subset_observed(ds)
+        want = ipw_ace(obs, Z, ShadowPropensityModel.trivial(Z),
+                       fit_treatment_propensity(obs, Z), clip_bounds)
+        got = baseline_ignore_missingness(ds, Z, clip_bounds)
+        for key in ("ace", "mean_treated", "mean_control"):
+            assert getattr(got, key) == getattr(want, key)
+        assert (got.n, got.n_observed) == (ds.n_rows, obs.n_rows)
 
     def test_estimates_are_pinned(self):
         # seed 3, n=10^4: what the three estimators gave before they shared

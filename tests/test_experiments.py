@@ -62,6 +62,13 @@ class TestSearchExperiment:
             run_search_experiment([100], trials=0, alpha=0.05)
 
 
+    def test_absent_cell_is_a_key_error(self):
+        report = run_search_experiment([300], 1, 0.05, seed=1, oracle=True)
+        with pytest.raises(KeyError) as raised:
+            report.cell(400)
+        assert raised.value.args == (400,)
+
+
 class TestEstimationExperiment:
     def test_report_structure_and_determinism(self):
         kwargs = dict(sample_sizes=[600], trials=3, alpha=0.05,
@@ -74,6 +81,15 @@ class TestEstimationExperiment:
         cell = a.cell(600, METHOD_ORACLE_SEARCH)
         assert len(cell.estimates) + cell.n_not_found == 3
         assert np.isfinite(a.ground_truth)
+
+    def test_absent_cell_is_a_key_error(self):
+        report = run_estimation_experiment(
+            [300], 1, 0.05, methods=(METHOD_IGNORE_MISSINGNESS,), seed=1)
+        for size, method in ((400, METHOD_IGNORE_MISSINGNESS),
+                             (300, METHOD_FULL)):
+            with pytest.raises(KeyError) as raised:
+                report.cell(size, method)
+            assert raised.value.args == ((size, method),)
 
     def test_full_method_records_not_found_trials(self):
         # at n=400 the tests are underpowered, so the search often fails;

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -198,6 +199,14 @@ class TestLogisticFit:
         x[2] = value
         with pytest.raises(GlmError, match="finite"):
             fit_glm(y, design_matrix(4, x))
+
+    @pytest.mark.parametrize("y_shape, X_shape", [
+        ((5,), (4, 2)), ((4, 1), (4, 2)), ((4,), (4,))])
+    def test_rejects_shapes_that_do_not_match(self, y_shape, X_shape):
+        y, X = np.zeros(y_shape), np.ones(X_shape)
+        with pytest.raises(GlmError, match=re.escape(
+                f"incompatible shapes y{y_shape} X{X_shape}")):
+            fit_glm(y, X)
 
     def test_needs_more_rows_than_coefficients(self):
         with pytest.raises(GlmError):
@@ -896,6 +905,24 @@ class TestLikelihoodRatioTest:
         null_fit, full_fit = self._nested_fits(effect=0.8)
         result = likelihood_ratio_test(null_fit, full_fit, 0.05)
         assert not result.independent
+
+    def test_shorter_full_design_rejected(self):
+        null_fit, full_fit = self._nested_fits()
+        with pytest.raises(GlmError,
+                           match="full design must extend the null design"):
+            likelihood_ratio_test(full_fit, null_fit, 0.05)
+
+    def test_equal_size_designs_that_are_not_nested_rejected(self):
+        rng = np.random.default_rng(3)
+        n = 2000
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        y = (rng.uniform(size=n) < expit(0.8 * x1)).astype(float)
+        with pytest.raises(GlmError, match="equal size but different "
+                                           "likelihoods; they are not nested"):
+            # x1 carries the signal, so the "full" fit on it has the
+            # higher likelihood
+            likelihood_ratio_test(fit_glm(y, design_matrix(n, x2)),
+                                  fit_glm(y, design_matrix(n, x1)), 0.05)
 
     def test_mismatched_n_rejected(self):
         a, _ = self._nested_fits(n=100)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -166,6 +167,12 @@ class TestReconstructFromJoint:
         joint = self.random_joint(np.random.default_rng(1), 2, 2) * 1.5
         with pytest.raises(ShadowError, match="normalized"):
             reconstruct_propensity_from_joint(joint)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 4)])
+    def test_misshaped_joint_rejected(self, shape):
+        with pytest.raises(ShadowError, match=re.escape(
+                f"joint must have shape (2, n_y, n_z), got {shape}")):
+            reconstruct_propensity_from_joint(np.full(shape, 0.25))
 
 
 class TestMomentResiduals:

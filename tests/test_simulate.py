@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +38,15 @@ class TestDefaultConfig:
     def test_unknown_scenario_rejected(self):
         with pytest.raises(ValueError):
             default_config(scenario="nope")
+
+    def test_unknown_scenario_has_no_graph(self):
+        with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+            scenario_graph("nope")
+
+    def test_inverted_probability_clip_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid probability clip (0.5, 0.2)")):
+            DgpConfig(prob_clip=(0.5, 0.2))
 
     @pytest.mark.parametrize("n", BAD_SIZES)
     def test_size_must_be_a_positive_integer(self, n):
