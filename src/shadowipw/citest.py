@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, subset_observed
-from .glm import CiTestResult, GlmError, fit_glm, fold, \
+from .glm import CiTestResult, GlmError, check_alpha, fit_glm, fold, \
     likelihood_ratio_test
 
 C1, C2, C3, C4 = "C1", "C2", "C3", "C4"
@@ -113,13 +113,13 @@ def run_condition(condition: str, ds: Dataset, W, Z, alpha: float,
     alone (see the module docstring), so a fit found there is the one this
     call would compute. The record keeps Z in the caller's order.
     """
+    check_alpha(alpha)
     cond = CONDITIONS[condition]
     roles = ds.roles
-    Z = tuple(Z)
     if (W is None) != (cond.added is not None):
         raise GlmError(f"condition {condition} takes "
                        f"{'no' if cond.added else 'a'} witness, got {W!r}")
-    roles.check_adjustment(Z, W)
+    Z = roles.check_adjustment(Z, W)
     fits = {} if fits is None else fits
     y = _table(fits, ds, cond)[1].y
     name = getattr(roles, cond.endpoint)

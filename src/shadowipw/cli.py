@@ -61,7 +61,7 @@ _SETTINGS = {
         None, help="Comma-separated covariate column names."),
     "alpha": _Setting(0.05, float, "Test level."),
     "max_subset_size": _Setting(None, int),
-    "h_mode": _Setting(shadow.H_MODE_A_MEAN, click.Choice(shadow.H_MODES)),
+    "h_mode": _Setting(shadow.DEFAULT_H_MODE, click.Choice(shadow.H_MODES)),
     "clip_lo": _Setting(estimate.DEFAULT_CLIP[0], float),
     "clip_hi": _Setting(estimate.DEFAULT_CLIP[1], float)}
 
@@ -226,8 +226,7 @@ def cmd_search(data, out, **flags):
 def cmd_estimate(data, adjustment, out, **flags):
     """Estimate the average causal effect with a given adjustment set."""
     roles, s = _settings(**flags)
-    Z = _split(adjustment)
-    roles.check_adjustment(Z)
+    Z = roles.check_adjustment(_split(adjustment))
     ds = load_csv(data, roles)
     report = {"command": "estimate", "data": str(data), **s,
               "roles": roles.to_dict(), "adjustment": list(Z),

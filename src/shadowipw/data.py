@@ -39,7 +39,8 @@ class RoleMap:
     covariates: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple(self.covariates))
+        object.__setattr__(self, "covariates",
+                           _names(self.covariates, "covariates"))
         names = list(self.all_names())
         if len(set(names)) != len(names):
             raise DataError(f"roles must reference distinct columns, got {names}")
@@ -58,11 +59,11 @@ class RoleMap:
     def to_dict(self) -> dict:
         return {**asdict(self), "covariates": list(self.covariates)}
 
-    def check_adjustment(self, Z, witness=None) -> None:
-        """Refuse an adjustment set that names a column other than a
-        covariate or names one twice, and a witness that is not a
-        covariate or lies in the set."""
-        Z = tuple(Z)
+    def check_adjustment(self, Z, witness=None) -> tuple[str, ...]:
+        """The adjustment set Z as a tuple. Refuse a bare string, a set that
+        names a column other than a covariate or names one twice, and a
+        witness that is not a covariate or lies in the set."""
+        Z = _names(Z, "an adjustment set")
         for i, z in enumerate(Z):
             if z not in self.covariates:
                 raise DataError(f"adjustment column {z!r} is not a covariate")
@@ -75,6 +76,14 @@ class RoleMap:
                                 "adjustment set")
             if witness not in self.covariates:
                 raise DataError(f"witness {witness!r} is not a covariate")
+        return Z
+
+
+def _names(names, what: str) -> tuple:
+    """``names`` as a tuple; a bare string is refused, not split."""
+    if isinstance(names, str):
+        raise DataError(f"{what} must be a sequence of names, got {names!r}")
+    return tuple(names)
 
 
 class Dataset:

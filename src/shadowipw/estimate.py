@@ -5,11 +5,13 @@ product of the response propensity p(R=1 | y, z) and the treatment-arm
 probability p(A=a | z), both clipped away from 0 and 1, and averages over
 all rows (rows with a missing outcome contribute zero). On fully observed
 data the response model is degenerate, p = 1 exactly, and is not clipped.
-``fit_and_weight`` runs the whole estimator: it solves the response
-propensity, fits the treatment propensity and weights. Two deliberately
-biased baselines are provided for comparison experiments: complete-case
-IPW, the estimator's weighting with a response weight of 1 over the
-observed-outcome rows, and ``fit_and_weight`` on an insufficient set.
+One builder, ``_weigh``, weights the rows and returns the ``AceEstimate``
+of the estimator and of its complete-case baseline. ``fit_and_weight``
+runs the whole estimator: it solves the response propensity, fits the
+treatment propensity and weights. Two deliberately biased baselines are
+provided for comparison experiments: complete-case IPW, the estimator's
+weighting with a response weight of 1 over the observed-outcome rows, and
+``fit_and_weight`` on an insufficient set.
 """
 
 from __future__ import annotations
@@ -62,17 +64,17 @@ def clip(p, lo: float = DEFAULT_CLIP[0], hi: float = DEFAULT_CLIP[1]):
 
 def fit_treatment_propensity(ds: Dataset, Z) -> GlmFit:
     """Logistic fit of the treatment on the adjustment set, over all rows."""
-    roles = ds.roles
-    roles.check_adjustment(Z)
-    a = ds.column(roles.treatment)
+    Z = ds.roles.check_adjustment(Z)
+    a = ds.column(ds.roles.treatment)
     X = design_matrix(ds.n_rows, *(ds.column(z) for z in Z))
     return fit_glm(a, X)
 
 
-def _weigh(ds, rows, Z, shadow, treat, clip_bounds):
-    """Per-arm sums of y / (p_r * p(A=arm)) over ds's given rows, divided by
-    ds.n_rows, with p_r and p(A=1) clipped into clip_bounds, and the count of
-    clipped weights. A degenerate model's p_r is 1, not computed or clipped."""
+def _weigh(ds, rows, Z, shadow, treat, clip_bounds, *, n, n_weights, method):
+    """Build the estimate over ds's given rows: each arm's sum of
+    y / (p_r * p(A=arm)) over ds.n_rows, with p_r and p(A=1) clipped into
+    clip_bounds, and the clipped share of n_weights weights. A degenerate
+    model's p_r is 1, not computed or clipped."""
     lo, hi = clip_bounds
     a = ds.column(ds.roles.treatment)[rows]
     y = ds.column(ds.roles.outcome)[rows]
@@ -88,32 +90,30 @@ def _weigh(ds, rows, Z, shadow, treat, clip_bounds):
         n_clipped += int(np.sum((p_a != p_a_clipped) & (a == arm)))
         term = np.where(a == arm, y / (p_r_clipped * p_a_clipped), 0.0)
         means[arm] = float(np.sum(term) / ds.n_rows)
-    return means, n_clipped
+    return AceEstimate(mean_treated=means[1], mean_control=means[0],
+                       ace=means[1] - means[0], n=n, n_observed=a.size,
+                       clipped_fraction=(n_clipped / n_weights if n_weights
+                                         else 0.0), method=method)
 
 
 def ipw_ace(ds: Dataset, Z, shadow: ShadowPropensityModel, treat: GlmFit,
             clip_bounds=DEFAULT_CLIP, method: str = METHOD_FULL
             ) -> AceEstimate:
     """Double inverse-probability-weighted ACE over treatment arms 1 and 0."""
-    Z = tuple(Z)
-    ds.roles.check_adjustment(Z)
+    Z = ds.roles.check_adjustment(Z)
     if Z != tuple(shadow.adjustment):
         raise ValueError(f"adjustment set {Z} does not match the fitted "
                          f"response-propensity model {shadow.adjustment}")
     if treat.coefficients.shape != (1 + len(Z),):
         raise ValueError(f"adjustment set {Z} does not match the treatment "
                          f"fit's {treat.coefficients.size} coefficients")
-    rows = respondent_rows(ds)
-    means, n_clipped = _weigh(ds, rows, Z, shadow, treat, clip_bounds)
-    n_weights = 2 * rows.size   # a response and a treatment weight per row
-    return AceEstimate(
-        mean_treated=means[1], mean_control=means[0],
-        ace=means[1] - means[0], n=ds.n_rows, n_observed=rows.size,
-        clipped_fraction=(n_clipped / n_weights if n_weights else 0.0),
-        method=method)
+    rows = respondent_rows(ds)   # a response and a treatment weight each
+    return _weigh(ds, rows, Z, shadow, treat, clip_bounds, n=ds.n_rows,
+                  n_weights=2 * rows.size, method=method)
 
 
-def fit_and_weight(ds: Dataset, Z, h_mode: str = shadow_module.H_MODE_A_MEAN,
+def fit_and_weight(ds: Dataset, Z,
+                   h_mode: str = shadow_module.DEFAULT_H_MODE,
                    clip_bounds=DEFAULT_CLIP, method: str = METHOD_FULL
                    ) -> tuple[ShadowPropensityModel, GlmFit, AceEstimate]:
     """The double-IPW estimator on adjustment set Z: solve the response
@@ -130,19 +130,14 @@ def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
     """Complete-case IPW: the estimator's weighting with a response weight
     of 1 over the observed-outcome rows, with a treatment fit on them."""
     obs = subset_observed(ds)
-    treat = fit_treatment_propensity(obs, Z)
-    means, n_clipped = _weigh(obs, slice(None), Z,
-                              ShadowPropensityModel.trivial(Z), treat,
-                              clip_bounds)
-    return AceEstimate(
-        mean_treated=means[1], mean_control=means[0],
-        ace=means[1] - means[0], n=ds.n_rows, n_observed=obs.n_rows,
-        clipped_fraction=(n_clipped / obs.n_rows if obs.n_rows else 0.0),
-        method=METHOD_IGNORE_MISSINGNESS)
+    return _weigh(obs, slice(None), Z, ShadowPropensityModel.trivial(Z),
+                  fit_treatment_propensity(obs, Z), clip_bounds,
+                  n=ds.n_rows, n_weights=obs.n_rows,
+                  method=METHOD_IGNORE_MISSINGNESS)
 
 
 def baseline_wrong_adjustment(ds: Dataset, Z=("W2", "W3"),
-                              h_mode: str = shadow_module.H_MODE_A_MEAN,
+                              h_mode: str = shadow_module.DEFAULT_H_MODE,
                               clip_bounds=DEFAULT_CLIP) -> AceEstimate:
     """Full pipeline (response and treatment propensities, double IPW) run
     with a deliberately insufficient adjustment set."""

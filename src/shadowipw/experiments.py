@@ -263,7 +263,8 @@ def _estimation_trial(args):
 
 def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
                               methods=ALL_METHODS, seed: int = 0,
-                              jobs: int = 1, h_mode: str = shadow.H_MODE_A_MEAN
+                              jobs: int = 1,
+                              h_mode: str = shadow.DEFAULT_H_MODE
                               ) -> EstimationExperimentReport:
     """ACE estimates per (sample size, method) across simulated trials,
     scored against the 10^6-row ``true_ace`` of the default config.

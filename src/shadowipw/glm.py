@@ -37,6 +37,7 @@ saves it about half its Newton steps on the full rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,28 +384,39 @@ def fit_glm(y, X, start=None) -> GlmFit:
     return fit
 
 
+def check_alpha(alpha) -> None:
+    """Refuse a test level that is not a real number in (0, 1). NumPy
+    scalars pass; bools, strings and NaN do not."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def likelihood_ratio_test(null_fit: GlmFit, full_fit: GlmFit,
                           alpha: float) -> CiTestResult:
     """Chi-square LRT of nested fits; ``independent`` means p_value >= alpha.
 
-    The statistic 2*(ll_full - ll_null) is clamped at zero, which absorbs
-    round-off on identical designs.
+    Designs of equal size must have equal likelihoods, in either order:
+    they are then the same design, with statistic 0 and p-value 1.
+    Otherwise the statistic 2*(ll_full - ll_null) is clamped at zero,
+    which absorbs round-off.
     """
+    check_alpha(alpha)
     if null_fit.n_obs != full_fit.n_obs:
         raise GlmError(f"fits use different sample sizes "
                        f"({null_fit.n_obs} vs {full_fit.n_obs})")
     df = full_fit.coefficients.size - null_fit.coefficients.size
     if df < 0:
         raise GlmError("full design must extend the null design")
-    statistic = max(0.0, 2.0 * (full_fit.log_likelihood -
-                                null_fit.log_likelihood))
+    statistic = 2.0 * (full_fit.log_likelihood - null_fit.log_likelihood)
     if df == 0:
-        # identical designs: the test degenerates to statistic 0, p-value 1
-        if statistic > 1e-6:
+        # identical designs: the test degenerates to statistic 0, p-value 1.
+        # Checked before the clamp, so that a worse "full" fit is caught too
+        if abs(statistic) > 1e-6:
             raise GlmError("designs have equal size but different likelihoods;"
                            " they are not nested")
         return CiTestResult(statistic=0.0, df=0, p_value=1.0,
                             independent=True, alpha=alpha)
+    statistic = max(0.0, statistic)
     p_value = chi_square_sf(statistic, df)
     return CiTestResult(statistic=statistic, df=df, p_value=p_value,
                         independent=p_value >= alpha, alpha=alpha)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from . import citest
 from .citest import C1, C2, C3, C4, CONDITIONS, ConditionRecord
 from .data import Dataset, RoleMap
-from .glm import CiTestResult
+from .glm import CiTestResult, check_alpha
 from .graphs import Dag
 
 FOUND = "found"
@@ -124,11 +124,10 @@ class GraphOracleTester:
 
 
 def check_search_settings(alpha, max_subset_size=None) -> None:
-    """Refuse a test level that is not a real number in (0, 1), and a
+    """Refuse a test level that ``glm.check_alpha`` refuses, and a
     subset-size bound that is neither None nor an integer >= 0. NumPy
-    scalars pass; bools, strings and NaN do not."""
-    if not (isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    scalars pass; bools and strings do not."""
+    check_alpha(alpha)
     size = max_subset_size
     if size is not None and (isinstance(size, bool) or not isinstance(
             size, numbers.Integral) or size < 0):

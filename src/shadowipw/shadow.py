@@ -43,6 +43,7 @@ from .data import Dataset, respondent_rows
 H_MODE_A_MEAN = "a_mean"
 H_MODE_A_ROW = "a_row"
 H_MODES = (H_MODE_A_MEAN, H_MODE_A_ROW)
+DEFAULT_H_MODE = H_MODE_A_MEAN   # every h_mode default reads this
 
 _P_MIN = np.finfo(float).tiny
 _P_MAX = 1.0 - np.finfo(float).epsneg
@@ -152,12 +153,12 @@ class _Moments:
 
     def __init__(self, ds: Dataset, adjustment, h_mode, y_ref=Y_REF):
         roles = ds.roles
-        roles.check_adjustment(adjustment)
+        self.adjustment = roles.check_adjustment(adjustment)
         check_h_mode(h_mode)
         r = ds.column(roles.response)
         rows = respondent_rows(ds)
         a = ds.column(roles.treatment)
-        h = [ds.column(z) for z in adjustment]
+        h = [ds.column(z) for z in self.adjustment]
         if h_mode == H_MODE_A_MEAN:   # no rows, no mean: the column is empty
             a = np.full(ds.n_rows, np.mean(a) if ds.n_rows else 0.0)
         h.append(a)
@@ -193,7 +194,7 @@ class _Moments:
 
 
 def moment_residuals(ds: Dataset, model: ShadowPropensityModel,
-                     h_mode: str = H_MODE_A_MEAN) -> np.ndarray:
+                     h_mode: str = DEFAULT_H_MODE) -> np.ndarray:
     """Empirical means of the k+1 estimating equations at the model's
     parameters (with the model's y_ref folded in)."""
     moments = _Moments(ds, model.adjustment, h_mode, model.y_ref)
@@ -203,7 +204,7 @@ def moment_residuals(ds: Dataset, model: ShadowPropensityModel,
         moments.weights(np.append(model.beta, model.gamma)))
 
 
-def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
+def solve_propensity(ds: Dataset, Z, h_mode: str = DEFAULT_H_MODE
                      ) -> ShadowPropensityModel:
     """Solve the estimating equations for (beta, gamma) by damped Newton.
 
@@ -216,8 +217,8 @@ def solve_propensity(ds: Dataset, Z, h_mode: str = H_MODE_A_MEAN
     An empty adjustment set is the gamma-only limit: the baseline is the
     constant one half and the single moment condition pins gamma.
     """
-    adjustment = tuple(Z)
-    moments = _Moments(ds, adjustment, h_mode)
+    moments = _Moments(ds, Z, h_mode)
+    adjustment = moments.adjustment
     k = len(adjustment)
     m = moments.Ut.shape[1]
     if m == 0:   # checked first: with no rows, m == n too

@@ -277,6 +277,31 @@ class TestRecordBehavior:
         with pytest.raises(ValueError, match=message):
             citest.run_condition(condition, base_ds_small, W, Z_FULL, ALPHA)
 
+    @pytest.mark.parametrize("condition", ["C2", "C3", "C4"])
+    def test_bare_string_adjustment_is_rejected(self, base_ds_small,
+                                                condition):
+        args = () if condition == "C2" else ("W1",)
+        test = getattr(citest, f"test_{condition.lower()}")
+        with pytest.raises(ValueError) as raised:
+            test(base_ds_small, *args, "W2", ALPHA)
+        assert str(raised.value) == ("an adjustment set must be a sequence "
+                                     "of names, got 'W2'")
+
+    @pytest.mark.parametrize("alpha", [1.5, 0, float("nan"), True], ids=repr)
+    @pytest.mark.parametrize("condition", ["C1", "C2", "C3", "C4"])
+    def test_alpha_refused_before_any_fit(self, base_ds_small, monkeypatch,
+                                          condition, alpha):
+        def no_fit(*args, **kwargs):
+            raise AssertionError(f"{condition} fitted at alpha={alpha}")
+
+        monkeypatch.setattr(citest, "fold", no_fit)
+        monkeypatch.setattr(citest, "fit_glm", no_fit)
+        args = {"C1": (), "C2": (Z_FULL,)}.get(condition, ("W1", Z_FULL))
+        test = getattr(citest, f"test_{condition.lower()}")
+        with pytest.raises(ValueError) as raised:
+            test(base_ds_small, *args, alpha)
+        assert str(raised.value) == f"alpha must lie in (0, 1), got {alpha}"
+
     def test_serialization_round_trip_keys(self, base_ds_small):
         record = citest.test_c1(base_ds_small, ALPHA)
         d = record.to_dict()

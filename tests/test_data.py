@@ -409,6 +409,9 @@ class TestCheckAdjustment:
          "adjustment column 'W2' appears more than once"),
         (("W1",), "W1", "witness 'W1' may not appear in the adjustment set"),
         (("W1",), "I", "witness 'I' is not a covariate"),
+        *(("W1", witness,
+           "an adjustment set must be a sequence of names, got 'W1'")
+          for witness in (None, "W3")),
     ])
     def test_refused(self, Z, witness, message):
         with pytest.raises(DataError) as raised:
@@ -418,4 +421,10 @@ class TestCheckAdjustment:
     @pytest.mark.parametrize("Z, witness", [
         ((), None), (("W3", "W1"), None), (["W2"], "W1"), ((), "W3")])
     def test_accepted(self, Z, witness):
-        self.ROLES.check_adjustment(Z, witness)
+        assert self.ROLES.check_adjustment(Z, witness) == tuple(Z)
+
+    def test_bare_string_covariates_refused(self):
+        with pytest.raises(DataError) as raised:
+            RoleMap("A", "Y", "R", "I", "W1")
+        assert str(raised.value) == ("covariates must be a sequence of "
+                                     "names, got 'W1'")

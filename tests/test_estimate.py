@@ -386,6 +386,8 @@ class TestLibraryRules:
         (("W2", "I"), "adjustment column 'I' is not a covariate"),
         (("W9",), "adjustment column 'W9' is not a covariate"),
         (("W2", "W2"), "adjustment column 'W2' appears more than once"),
+        # a string is not read as its characters ('W', '2')
+        ("W2", "an adjustment set must be a sequence of names, got 'W2'"),
     ])
     def test_adjustment_set_refused(self, base_ds_small, Z, message):
         ds = base_ds_small
@@ -393,6 +395,7 @@ class TestLibraryRules:
         treat = oracle_treatment_fit(ds.n_rows, *np.zeros(len(Z) + 1))
         for call in (lambda: fit_treatment_propensity(ds, Z),
                      lambda: ipw_ace(ds, Z, model, treat),
+                     lambda: solve_propensity(ds, Z),
                      lambda: fit_and_weight(ds, Z),
                      lambda: baseline_ignore_missingness(ds, Z),
                      lambda: baseline_wrong_adjustment(ds, Z)):

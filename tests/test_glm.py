@@ -247,6 +247,56 @@ class TestLogisticFit:
             assert fit.converged and fit.iterations >= 3
             assert len(calls) == fit.iterations
 
+    def test_failed_halving_applies_no_step(self, monkeypatch):
+        # every candidate is refused: the first step is halved 20 times, and
+        # the fit stops at its start with no step applied
+        calls = []
+        original = glm._evaluate
+
+        def refusing(beta, Xs, colmax):
+            calls.append(beta.copy())
+            e, ll = original(beta, Xs, colmax)
+            return e, (ll if len(calls) == 1 else -math.inf)
+
+        monkeypatch.setattr(glm, "_evaluate", refusing)
+        rng = np.random.default_rng(4)
+        n = 500
+        x = rng.normal(size=n)
+        y = (rng.uniform(size=n) < expit(0.5 + x)).astype(float)
+        fit = fit_glm(y, design_matrix(n, x))
+        assert len(calls) == 21
+        assert not calls[0].any() and all(c.any() for c in calls[1:])
+        assert fit.coefficients.tolist() == [0.0, 0.0]
+        assert fit.log_likelihood == pytest.approx(-n * math.log(2.0),
+                                                   rel=1e-15)
+        assert (fit.iterations, fit.converged, fit.separated,
+                fit.rank_deficient) == (0, False, False, False)
+
+    def test_singular_solve_takes_the_least_squares_step(self, monkeypatch):
+        # a solve that raises after the eigenvalue test passed marks the
+        # design rank deficient; its least-squares steps reach the same fit
+        rng = np.random.default_rng(5)
+        n = 500
+        X = design_matrix(n, rng.normal(size=n), rng.normal(size=n))
+        y = (rng.uniform(size=n) < expit(X @ np.array([0.2, 0.7, -0.5]))
+             ).astype(float)
+        want = fit_glm(y, X)
+        assert want.converged and not want.rank_deficient
+        calls = []
+        original = glm._lapack
+
+        def failing_solve(name, *operands):
+            calls.append(name)
+            if name == "solve1":
+                raise np.linalg.LinAlgError("Singular matrix")
+            return original(name, *operands)
+
+        monkeypatch.setattr(glm, "_lapack", failing_solve)
+        fit = fit_glm(y, X)
+        assert calls == ["eigvalsh_lo", "solve1"]
+        assert fit.rank_deficient and fit.converged and not fit.separated
+        assert np.abs(fit.coefficients - want.coefficients).max() < 1e-12
+
     @pytest.mark.parametrize("seed, parent_ll", [(0, -38781.151851634815),
                                                  (17, -38384.73995507248)])
     def test_converges_at_hundred_thousand_rows(self, seed, parent_ll):
@@ -923,6 +973,25 @@ class TestLikelihoodRatioTest:
             # higher likelihood
             likelihood_ratio_test(fit_glm(y, design_matrix(n, x2)),
                                   fit_glm(y, design_matrix(n, x1)), 0.05)
+
+    def test_equal_size_designs_with_a_worse_full_fit_rejected(self):
+        # the nesting check reads the unclamped difference, so a "full" fit
+        # worse than its "null" is refused too, not given p = 1
+        rng = np.random.default_rng(3)
+        n = 2000
+        x1, x2 = rng.normal(size=n), rng.normal(size=n)
+        y = (rng.uniform(size=n) < expit(0.8 * x1)).astype(float)
+        with pytest.raises(GlmError, match="equal size but different "
+                                           "likelihoods; they are not nested"):
+            likelihood_ratio_test(fit_glm(y, design_matrix(n, x1)),
+                                  fit_glm(y, design_matrix(n, x2)), 0.05)
+
+    @pytest.mark.parametrize("alpha", [1.5, 0, float("nan"), True], ids=repr)
+    def test_alpha_outside_the_unit_interval_refused(self, alpha):
+        null_fit, full_fit = self._nested_fits(n=200)
+        with pytest.raises(ValueError) as raised:
+            likelihood_ratio_test(null_fit, full_fit, alpha)
+        assert str(raised.value) == f"alpha must lie in (0, 1), got {alpha}"
 
     def test_mismatched_n_rejected(self):
         a, _ = self._nested_fits(n=100)

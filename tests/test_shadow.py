@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 from decimal import Decimal, localcontext
@@ -8,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from shadowipw import glm, shadow
+from shadowipw import cli, estimate, experiments, glm, shadow
 from shadowipw.data import DataError, Dataset, RoleMap
 from shadowipw.estimate import fit_and_weight
 from shadowipw.shadow import (H_MODE_A_MEAN, H_MODE_A_ROW,
@@ -579,3 +580,15 @@ class TestHMode:
         got = solve_propensity(ds, ("Z1",), np.str_(H_MODE_A_ROW))
         want = solve_propensity(ds, ("Z1",), H_MODE_A_ROW)
         assert (got.gamma, list(got.beta)) == (want.gamma, list(want.beta))
+
+    def test_every_default_is_the_one_constant(self):
+        # the six h_mode defaults all read shadow.DEFAULT_H_MODE, so that
+        # switching the default is a one-line change
+        functions = (shadow.solve_propensity, shadow.moment_residuals,
+                     estimate.fit_and_weight,
+                     estimate.baseline_wrong_adjustment,
+                     experiments.run_estimation_experiment)
+        defaults = [inspect.signature(f).parameters["h_mode"].default
+                    for f in functions]
+        defaults.append(cli._SETTINGS["h_mode"].default)
+        assert all(d is shadow.DEFAULT_H_MODE for d in defaults), defaults
