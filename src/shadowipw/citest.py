@@ -54,8 +54,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import Dataset, subset_observed
-from .glm import CiTestResult, GlmError, check_alpha, fit_glm, fold, \
-    likelihood_ratio_test
+from .glm import CiTestResult, GlmError, check_alpha, design_matrix, \
+    fit_glm, fold, likelihood_ratio_test
 
 C1, C2, C3, C4 = "C1", "C2", "C3", "C4"
 
@@ -158,8 +158,8 @@ def _table(fits: dict, ds: Dataset, cond: Condition):
             (cond.respondents_only, cond.endpoint)
             for role in (*c.given, c.added) if role)
         y = rows.column(key[1])
-        fits[key] = names, fold(y, np.vstack([np.ones(y.size),
-                                              *map(rows.column, names)]))
+        fits[key] = names, fold(y, design_matrix(
+            y.size, *map(rows.column, names)).T)
     return fits[key]
 
 

@@ -197,9 +197,10 @@ def cmd_simulate(n, seed, scenario, out):
     config = default_config(n=n, seed=seed, scenario=scenario)
     ds = generate(config)
     write_csv(ds, out)
+    mean_response = float(ds.column(ds.roles.response).mean())
     click.echo(json.dumps({"n": n, "seed": config.seed, "scenario": scenario,
-                           "out": str(out), "mean_response":
-                           float(ds.column("R").mean())}, sort_keys=True))
+                           "out": str(out), "mean_response": mean_response},
+                          sort_keys=True))
 
 
 @main.command("search")

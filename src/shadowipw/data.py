@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -84,6 +85,14 @@ def _names(names, what: str) -> tuple:
     if isinstance(names, str):
         raise DataError(f"{what} must be a sequence of names, got {names!r}")
     return tuple(names)
+
+
+def is_integer(value, least=None) -> bool:
+    """Whether ``value`` is an integer, not a bool, and at least ``least``
+    when that is given. NumPy integers pass; floats and strings do not."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool)
+            and (least is None or value >= least))
 
 
 class Dataset:

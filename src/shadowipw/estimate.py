@@ -119,6 +119,7 @@ def fit_and_weight(ds: Dataset, Z,
     """The double-IPW estimator on adjustment set Z: solve the response
     propensity, fit the treatment propensity, and weight. Returns both
     fitted models with the estimate."""
+    Z = ds.roles.check_adjustment(Z)
     model = shadow_module.solve_propensity(ds, Z, h_mode)
     treat = fit_treatment_propensity(ds, Z)
     return model, treat, ipw_ace(ds, Z, model, treat, clip_bounds,
@@ -129,6 +130,7 @@ def baseline_ignore_missingness(ds: Dataset, Z, clip_bounds=DEFAULT_CLIP
                                 ) -> AceEstimate:
     """Complete-case IPW: the estimator's weighting with a response weight
     of 1 over the observed-outcome rows, with a treatment fit on them."""
+    Z = ds.roles.check_adjustment(Z)
     obs = subset_observed(ds)
     return _weigh(obs, slice(None), Z, ShadowPropensityModel.trivial(Z),
                   fit_treatment_propensity(obs, Z), clip_bounds,

@@ -7,16 +7,17 @@ Positive and negative search trials use disjoint seed offsets.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import estimate, shadow
+from .data import is_integer
 from .search import (FOUND, GraphOracleTester, check_search_settings,
                      find_adjustment_set)
-from .simulate import (SCENARIO_ADD_A_TO_RY, SCENARIO_BASE, SCENARIO_HIDE_W4,
-                       default_config, generate, scenario_graph, true_ace)
+from .simulate import (_STREAM_COIN, SCENARIO_ADD_A_TO_RY, SCENARIO_BASE,
+                       SCENARIO_HIDE_W4, _rng, check_seed, default_config,
+                       generate, scenario_graph, true_ace)
 
 CORRECT_SET = ("W2", "W3", "W4")
 _NEGATIVE_SEED_STRIDE = 1_000_003  # keeps positive/negative streams disjoint
@@ -87,8 +88,7 @@ def _search_trial(args):
     n, alpha, seed, kind, oracle = args
     scenario = SCENARIO_BASE
     if kind == "negative":
-        coin = np.random.Generator(
-            np.random.Philox(key=seed % (1 << 64))).uniform()
+        coin = _rng(seed, _STREAM_COIN).uniform()
         scenario = SCENARIO_ADD_A_TO_RY if coin < 0.5 else SCENARIO_HIDE_W4
     config = default_config(n=n, seed=seed, scenario=scenario)
     ds = generate(config)
@@ -115,26 +115,22 @@ def _distinct(values, what: str) -> tuple:
     return values
 
 
-def _is_count(value) -> bool:
-    """Whether value is an integer >= 1, and not a bool."""
-    return (not isinstance(value, bool)
-            and isinstance(value, numbers.Integral) and value >= 1)
-
-
-def _check_design(sample_sizes, trials: int, alpha, jobs) -> tuple:
-    """The sample-size grid as a tuple and ``trials`` as an int, once
-    ``alpha`` is known to lie in (0, 1), the sizes to be distinct and >= 1,
-    and ``trials`` and ``jobs`` integers >= 1 (not bools)."""
+def _check_design(sample_sizes, trials: int, alpha, jobs, seed) -> tuple:
+    """The sample-size grid as a tuple and ``trials`` and ``seed`` as ints,
+    once ``alpha`` is known to lie in (0, 1), the sizes to be distinct and
+    >= 1, ``trials`` and ``jobs`` integers >= 1 (not bools) and ``seed``
+    an integer (``simulate.check_seed``)."""
     check_search_settings(alpha)
-    if not _is_count(trials):
+    if not is_integer(trials, 1):
         raise ValueError("trials must be >= 1")
-    if not _is_count(jobs):
+    if not is_integer(jobs, 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    seed = check_seed(seed)
     sample_sizes = _distinct(sample_sizes, "sample sizes")
     for n in sample_sizes:
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-    return sample_sizes, int(trials)
+    return sample_sizes, int(trials), seed
 
 
 def _run_jobs(fn, jobs_args, jobs: int):
@@ -162,8 +158,8 @@ def run_search_experiment(sample_sizes, trials: int, alpha: float,
     With ``oracle=True`` the likelihood-ratio tests are replaced by
     d-separation on the generating graph.
     """
-    sample_sizes, trials = _check_design(sample_sizes, trials, alpha,
-                                         jobs)
+    sample_sizes, trials, seed = _check_design(sample_sizes, trials, alpha,
+                                               jobs, seed)
     rows = []
     cells = []
     for idx, n in enumerate(sample_sizes):
@@ -273,8 +269,8 @@ def run_estimation_experiment(sample_sizes, trials: int, alpha: float,
     missing estimates and excluded from the summaries; the exclusion count
     is reported alongside.
     """
-    sample_sizes, trials = _check_design(sample_sizes, trials, alpha,
-                                         jobs)
+    sample_sizes, trials, seed = _check_design(sample_sizes, trials, alpha,
+                                               jobs, seed)
     methods = _distinct(methods, "methods")
     for m in methods:
         if m not in ALL_METHODS:

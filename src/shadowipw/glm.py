@@ -241,13 +241,12 @@ def _fit_logistic(y, Xs, colmax, start):
                 rank_deficient = True
         if rank_deficient:
             # singular gram matrix: the minimum-norm solution of the
-            # weighted least-squares problem for the working response z;
-            # folding by 1-2y again gives back the design exactly
-            Xt = Xs * (1.0 - 2.0 * y)
-            eta = np.clip(beta @ Xt, -SATURATION, SATURATION)
+            # weighted least-squares problem for the working response
+            # eta + s*r/w, each row times -s as the design is folded
+            t = np.clip(beta @ Xs, -SATURATION, SATURATION)
             sw = np.sqrt(w)
-            z = eta + (2.0 * y - 1.0) * r / w
-            step = np.linalg.lstsq((Xt * sw).T, z * sw, rcond=None)[0] - beta
+            step = np.linalg.lstsq((Xs * sw).T, (t - r / w) * sw,
+                                   rcond=None)[0] - beta
         # the rounding error of a sum over rows, which grows with |ll|, and
         # the Newton decrement: a Newton step gains lam2 / 2, to third order
         tol = 1e-12 * max(1.0, abs(ll))

@@ -22,12 +22,11 @@ encoded as p-values 1.0/0.0.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 from . import citest
 from .citest import C1, C2, C3, C4, CONDITIONS, ConditionRecord
-from .data import Dataset, RoleMap
+from .data import Dataset, RoleMap, is_integer
 from .glm import CiTestResult, check_alpha
 from .graphs import Dag
 
@@ -129,8 +128,7 @@ def check_search_settings(alpha, max_subset_size=None) -> None:
     scalars pass; bools and strings do not."""
     check_alpha(alpha)
     size = max_subset_size
-    if size is not None and (isinstance(size, bool) or not isinstance(
-            size, numbers.Integral) or size < 0):
+    if size is not None and not is_integer(size, 0):
         raise ValueError("max_subset_size must be an integer >= 0, "
                          f"got {size}")
 

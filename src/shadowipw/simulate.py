@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import Dataset, RoleMap
+from .data import Dataset, RoleMap, is_integer
 from .glm import expit
 from .graphs import Dag
 
@@ -36,8 +36,9 @@ ORACLE_COMPLETE = "Y_complete"
 ORACLE_ARM1 = "Y_arm1"
 ORACLE_ARM0 = "Y_arm0"
 
-# substream ids for the counter-based generator
-_STREAM_W, _STREAM_I, _STREAM_A, _STREAM_Y, _STREAM_R = 1, 2, 3, 4, 5
+# substream ids for the counter-based generator; generate never draws
+# stream 0, the experiments' scenario coin
+_STREAM_COIN, _STREAM_W, _STREAM_I, _STREAM_A, _STREAM_Y, _STREAM_R = range(6)
 
 
 @dataclass(frozen=True)
@@ -65,9 +66,9 @@ class DgpConfig:
         for name in ("coef_a", "coef_y", "coef_r_ref", "prob_clip"):
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
-        if (isinstance(self.n, bool)
-                or not isinstance(self.n, (int, np.integer)) or self.n < 1):
+        if not is_integer(self.n, 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        check_seed(self.seed)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         lo, hi = self.prob_clip
@@ -78,6 +79,14 @@ class DgpConfig:
 def default_config(**overrides) -> DgpConfig:
     """The simulation-study configuration; keyword overrides allowed."""
     return replace(DgpConfig(), **overrides) if overrides else DgpConfig()
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int; one that is not an integer, or is a bool, is
+    refused. NumPy integers and negative seeds pass."""
+    if not is_integer(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:

@@ -26,7 +26,12 @@ part of the program's output, with counts that show what it covered:
             ``baseline_ignore_missingness`` at the default bounds and at
             (0.1, 0.9), and ``baseline_wrong_adjustment`` in both h modes
             where the data hold its set;
-  generate  ``generate``'s columns on each scenario.
+  generate  ``generate``'s columns on each scenario;
+  experiments  ``run_search_experiment``, with the likelihood-ratio tests
+            and with the d-separation oracle, at 200 and 1,000 rows, and
+            ``run_estimation_experiment`` with every method at 800 rows,
+            one trial per kind and size for every 10 seeds: each report's
+            ``to_dict()`` and ``rows_csv()``.
 
 Its name does not start with ``test_``, so pytest does not collect it.
 """
@@ -44,6 +49,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from oracles import all_observed, one_stratum_dataset  # noqa: E402
 from shadowipw import estimate, glm, shadow  # noqa: E402
+from shadowipw.experiments import (run_estimation_experiment,  # noqa: E402
+                                   run_search_experiment)
 from shadowipw.search import LrtTester, find_adjustment_set  # noqa: E402
 from shadowipw.simulate import (SCENARIOS, default_config,  # noqa: E402
                                 generate)
@@ -167,16 +174,31 @@ def columns(seeds: int):
     return digest, counts
 
 
+def experiments(seeds: int):
+    digest, counts = hashlib.sha256(), {"reports": 0, "rows": 0}
+    trials = max(1, seeds // 10)
+    reports = [run_search_experiment([200, 1_000], trials, 0.05,
+                                     oracle=oracle)
+               for oracle in (False, True)]
+    reports.append(run_estimation_experiment([800], trials, 0.05))
+    for report in reports:
+        _update(digest, report.to_dict(), report.rows_csv())
+        counts["reports"] += 1
+        counts["rows"] += len(report.rows_csv().splitlines()) - 1
+    return digest, counts
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=100,
                         help="seeds per scenario and size (default 100)")
     args = parser.parse_args(argv)
     for name, part in (("search", searches), ("fits", fits),
-                       ("estimate", estimates), ("generate", columns)):
+                       ("estimate", estimates), ("generate", columns),
+                       ("experiments", experiments)):
         digest, counts = part(args.seeds)
         shown = ", ".join(f"{v} {k}" for k, v in counts.items())
-        print(f"{name:9s}{digest.hexdigest()}  ({shown})", flush=True)
+        print(f"{name:12s}{digest.hexdigest()}  ({shown})", flush=True)
 
 
 if __name__ == "__main__":

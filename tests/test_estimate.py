@@ -401,3 +401,14 @@ class TestLibraryRules:
                      lambda: baseline_wrong_adjustment(ds, Z)):
             with pytest.raises(DataError, match=re.escape(message)):
                 call()
+
+    @pytest.mark.parametrize("call, Z", [
+        (lambda ds, Z: fit_and_weight(ds, Z)[2], CORRECT_SET),
+        (baseline_ignore_missingness, CORRECT_SET),
+        (baseline_wrong_adjustment, ("W2", "W3"))],
+        ids=["fit_and_weight", "ignore_missingness", "wrong_adjustment"])
+    def test_adjustment_set_read_once(self, base_ds_small, call, Z):
+        # a generator is used up by its first read: the baseline used to
+        # estimate on Z = () and fit_and_weight to refuse its own models
+        est = call(base_ds_small, (z for z in Z))
+        assert est.to_dict() == call(base_ds_small, Z).to_dict()

@@ -1,12 +1,15 @@
 import concurrent.futures
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
+from shadowipw import experiments
 from shadowipw.estimate import (METHOD_FULL, METHOD_IGNORE_MISSINGNESS,
                                 METHOD_ORACLE_SEARCH, METHOD_WRONG_ADJUSTMENT)
-from shadowipw.experiments import (run_estimation_experiment,
+from shadowipw.experiments import (EstimationCell, run_estimation_experiment,
                                    run_search_experiment)
 
 BAD_ALPHAS = [0, 1, 1.5, float("nan"), "0.05", True]
@@ -111,6 +114,20 @@ class TestEstimationExperiment:
         assert [cell[k] for k in ("median", "q25", "q75",
                                   "median_abs_error")] == [None] * 4
         json.dumps(report.to_dict(), allow_nan=False)
+
+    def test_empty_cell_statistics_are_nan(self):
+        # NumPy warns on the median of nothing, which the suite turns into
+        # a failure; an empty cell must not ask it
+        cell = EstimationCell(400, METHOD_FULL, (), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = (cell.median, *cell.quantiles(), cell.median_abs_error(0.1))
+        assert len(stats) == 5 and all(map(math.isnan, stats))
+
+    def test_cell_median_is_the_median_of_its_estimates(self):
+        estimates = (0.3, -0.1, 0.25, 0.05)
+        cell = EstimationCell(400, METHOD_FULL, estimates, 0)
+        assert cell.median == float(np.median(estimates)) == 0.15
 
     def test_oracle_and_wrong_adjustment_summaries(self):
         report = run_estimation_experiment(
@@ -219,7 +236,8 @@ class TestAlpha:
 
 class TestDesignInputs:
     """Both experiments refuse a worker count that is not an integer >= 1,
-    and a string where a sequence of sample sizes or methods belongs."""
+    a seed that is not an integer, and a string where a sequence of sample
+    sizes or methods belongs."""
 
     @pytest.mark.parametrize("run", [run_search_experiment,
                                      run_estimation_experiment])
@@ -245,6 +263,30 @@ class TestDesignInputs:
         report = run_search_experiment([300], np.int64(1), 0.05, seed=1,
                                        oracle=True)
         assert report.trials_positive == report.cell(300).tp == 1
+
+    @pytest.mark.parametrize("run", [run_search_experiment,
+                                     run_estimation_experiment])
+    @pytest.mark.parametrize("seed", [1.5, True, "7", None], ids=repr)
+    def test_seed_refused(self, run, seed, monkeypatch):
+        # refused before any truth is drawn or trial runs: 1.5 used to run
+        # seed 1's trials and report 1.5, "7" to fail with a TypeError
+        def reached(*args):
+            raise AssertionError("a trial or the truth was run")
+        monkeypatch.setattr(experiments, "true_ace", reached)
+        monkeypatch.setattr(experiments, "_run_jobs", reached)
+        with pytest.raises(ValueError) as raised:
+            run([200], 1, 0.05, seed=seed)
+        assert str(raised.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_runs_the_int_seeds_trials(self):
+        # the negative trial's scenario coin keyed its own stream by
+        # seed % 2**64, which overflowed on a NumPy integer
+        report = run_search_experiment([200], 1, 0.05, seed=np.int64(3),
+                                       oracle=True)
+        same = run_search_experiment([200], 1, 0.05, seed=3, oracle=True)
+        assert type(report.seed) is int
+        assert json.dumps(report.to_dict()) == json.dumps(same.to_dict())
+        assert report.rows_csv() == same.rows_csv()
 
     def test_numpy_integer_jobs_accepted(self):
         report = run_search_experiment([300], 1, 0.05, seed=1,

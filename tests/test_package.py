@@ -27,7 +27,8 @@ def python(*args, cwd=None):
     # the suite's warning policy (pyproject's filterwarnings), which pytest
     # does not pass on to a child process
     env = {**os.environ, "PYTHONPATH": SRC,
-           "PYTHONWARNINGS": "error::RuntimeWarning,error::UserWarning"}
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::UserWarning,"
+                             "error::DeprecationWarning"}
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, text=True)
 

@@ -56,6 +56,19 @@ class TestDefaultConfig:
     def test_numpy_integer_size_accepted(self):
         assert generate(default_config(n=np.int64(3))).n_rows == 3
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, "3", None],
+                             ids=repr)
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to draw seed 1's data, True seed 1's, "3" seed 3's
+        with pytest.raises(ValueError) as raised:
+            default_config(seed=seed)
+        assert str(raised.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_and_negative_seeds_accepted(self):
+        assert same_columns(generate(default_config(n=50, seed=np.int64(7))),
+                            generate(default_config(n=50, seed=7)))
+        assert generate(default_config(n=50, seed=-2)).n_rows == 50
+
     def test_non_positive_definite_sigma_rejected(self):
         bad = ((1.0, 2.0, 0, 0), (2.0, 1.0, 0, 0),
                (0, 0, 1.0, 0), (0, 0, 0, 1.0))
